@@ -4,7 +4,9 @@ Satisfaction is the single hidden variable, so the belief is an exact
 categorical vector per table plus the fully observed rest of the state.
 Observations are deterministic copies of the observable variables and carry
 no evidence about satisfaction, which means the Bayes update reduces to the
-prediction step; the conditioning step is asserted to be a no-op.
+prediction step; the conditioning step is checked to be a no-op.
+``Observation``, ``observe`` and ``table_from_observation`` live in
+:mod:`.model` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -12,15 +14,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import RestaurantConfig
-from .dynamics import action_duration, transition_distribution
+from .dynamics import action_duration
+from .kernel import table_kernel
 from .model import (
     Action,
     ActionKind,
     JointState,
+    ModelInvariantError,
+    Observation,
     RobotState,
-    TableState,
     fresh_table,
+    observe,
+    table_from_observation,
 )
+
+BELIEF_SUM_TOLERANCE = 1e-9
 
 
 class ObservationMismatchError(ValueError):
@@ -29,48 +37,6 @@ class ObservationMismatchError(ValueError):
     In this domain the observable variables evolve deterministically, so any
     mismatch indicates a model/simulator bug, never noise.
     """
-
-
-@dataclass(frozen=True, slots=True)
-class Observation:
-    """The eight observable variables of one table (satisfaction excluded)."""
-
-    food: int
-    water: int
-    cooking_status: int
-    current_request: int
-    hand_raise: int
-    t_since_served: int
-    t_since_food_ready: int
-    t_since_request: int
-
-
-def observe(ts_next: TableState, action: Action | None = None) -> Observation:
-    """Deterministic observation of a table: everything except satisfaction."""
-    return Observation(
-        food=ts_next.food,
-        water=ts_next.water,
-        cooking_status=ts_next.cooking_status,
-        current_request=ts_next.current_request,
-        hand_raise=ts_next.hand_raise,
-        t_since_served=ts_next.t_since_served,
-        t_since_food_ready=ts_next.t_since_food_ready,
-        t_since_request=ts_next.t_since_request,
-    )
-
-
-def table_from_observation(obs: Observation, satisfaction: int) -> TableState:
-    return TableState(
-        satisfaction=satisfaction,
-        food=obs.food,
-        water=obs.water,
-        cooking_status=obs.cooking_status,
-        current_request=obs.current_request,
-        hand_raise=obs.hand_raise,
-        t_since_served=obs.t_since_served,
-        t_since_food_ready=obs.t_since_food_ready,
-        t_since_request=obs.t_since_request,
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,9 +74,11 @@ def belief_predict(b: Belief, action: Action, cfg: RestaurantConfig) -> tuple[Be
     """Push the belief through the action's dynamics; returns (belief, duration).
 
     Each table's satisfaction vector is propagated through the satisfaction
-    marginal of its transition distribution; the observable part advances
-    deterministically and identically for every satisfaction value.
+    rows of its cached edge (see :mod:`.kernel`); the observable part
+    advances deterministically and identically for every satisfaction value,
+    which the edge table checks when it fills an entry.
     """
+    kernel = table_kernel(cfg)
     duration = action_duration(b.robot, action, cfg)
     if action.kind is ActionKind.GO_TO:
         assert action.table is not None
@@ -125,25 +93,19 @@ def belief_predict(b: Belief, action: Action, cfg: RestaurantConfig) -> tuple[Be
             new_obs.append(obs)
             new_vecs.append(vec)
             continue
+        edge = kernel.edge(obs, action, duration, b.robot, i)
+        rows = edge.rows
         out = [0.0] * len(vec)
-        predicted: Observation | None = None
+        has_mass = False
         for sat, p in enumerate(vec):
             if p == 0.0:
                 continue
-            dist = transition_distribution(
-                table_from_observation(obs, sat), action, duration, cfg, i
-            )
-            for ns, q in dist:
-                out[ns.satisfaction] += p * q
-                o = observe(ns)
-                if predicted is None:
-                    predicted = o
-                elif predicted != o:
-                    raise AssertionError(
-                        "observable prediction depends on satisfaction"
-                    )
-        assert predicted is not None
-        new_obs.append(predicted)
+            has_mass = True
+            for ns, q, _ in rows[sat]:
+                out[ns] += p * q
+        if not has_mass:
+            raise ModelInvariantError(f"table {i}: belief vector has no mass")
+        new_obs.append(edge.next_obs)
         new_vecs.append(tuple(out))
     return (
         Belief(robot=robot, observables=tuple(new_obs), satisfaction=tuple(new_vecs)),
@@ -162,7 +124,8 @@ def belief_step(
 
     The observation likelihood is an indicator on the observable variables and
     is constant in satisfaction, so conditioning must leave the satisfaction
-    marginal untouched; this is asserted rather than assumed.
+    marginal untouched; a vector that no longer sums to one raises
+    :class:`.model.ModelInvariantError` rather than being renormalized.
     """
     predicted, d = belief_predict(b, action, cfg)
     if duration != d:
@@ -177,7 +140,8 @@ def belief_step(
                 f"table {i}: observed {zi}, predicted {oi}"
             )
     # Conditioning on a satisfaction-independent likelihood is the identity.
-    for vec in predicted.satisfaction:
+    for i, vec in enumerate(predicted.satisfaction):
         total = sum(vec)
-        assert abs(total - 1.0) < 1e-9, f"belief vector drifted: sums to {total}"
+        if not abs(total - 1.0) < BELIEF_SUM_TOLERANCE:
+            raise ModelInvariantError(f"table {i}: belief vector drifted, sums to {total}")
     return predicted

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import RestaurantConfig
+from .config import ConfigError, RestaurantConfig
 from .model import (
     Action,
     ActionKind,
@@ -41,6 +41,7 @@ from .model import (
     RobotState,
     TableState,
     manhattan,
+    sample_outcome,
     serve_blocked,
 )
 
@@ -87,7 +88,8 @@ def tick_table(ts: TableState, cfg: RestaurantConfig) -> TableState:
     if ts.done:
         raise ValueError("cannot tick a departed table")
     tm = cfg.time_max
-    assert tm is not None
+    if tm is None:
+        raise ConfigError("config must be validated first: time_max is unset")
     food, water = ts.food, ts.water
     cooking = ts.cooking_status
     sat = ts.satisfaction
@@ -216,12 +218,4 @@ def sample_transition(
 ) -> TableState:
     """Draw one next state from :func:`transition_distribution`."""
     dist = transition_distribution(ts, action, duration, cfg, table_index)
-    if len(dist) == 1:
-        return dist[0][0]
-    u = rng.random()
-    acc = 0.0
-    for state, p in dist:
-        acc += p
-        if u < acc:
-            return state
-    return dist[-1][0]
+    return sample_outcome(dist, rng)[0]

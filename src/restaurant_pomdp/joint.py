@@ -15,17 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import Observation, observe
 from .config import RestaurantConfig
 from .dynamics import action_duration
+from .kernel import table_kernel
 from .model import (
     Action,
     ActionKind,
     IllegalActionError,
     JointState,
+    Observation,
     RobotState,
     TableState,
     legal_actions,
+    observe,
+    sample_outcome,
+    table_from_observation,
 )
 from .rewards import table_transition_outcomes
 
@@ -60,31 +64,29 @@ def _next_robot(js: JointState, action: Action, cfg: RestaurantConfig) -> RobotS
 def step_joint(
     js: JointState, action: Action, cfg: RestaurantConfig, rng: np.random.Generator
 ) -> JointStepResult:
-    """Execute one action on the joint state, sampling the serve outcome."""
-    _check_legal(js, action, cfg)
+    """Execute one action on the joint state, sampling the serve outcome.
+
+    Each table advances along its cached edge (see :mod:`.kernel`).
+    """
+    kernel = table_kernel(cfg)
+    observables = tuple(observe(ts) for ts in js.tables)
+    if action not in kernel.legal(js.robot, observables):
+        raise IllegalActionError(f"{action} is not legal in the current state")
     duration = action_duration(js.robot, action, cfg)
     robot = _next_robot(js, action, cfg)
     tables: list[TableState] = []
+    next_obs: list[Observation] = []
     rewards: list[float] = []
-    for i, ts in enumerate(js.tables):
-        outcomes = table_transition_outcomes(ts, action, duration, js.robot, cfg, i)
-        if len(outcomes) == 1:
-            ns, _, r = outcomes[0]
-        else:
-            u = rng.random()
-            acc = 0.0
-            ns, _, r = outcomes[-1]
-            for state, p, rew in outcomes:
-                acc += p
-                if u < acc:
-                    ns, r = state, rew
-                    break
-        tables.append(ns)
+    for i, (ts, obs) in enumerate(zip(js.tables, observables)):
+        edge = kernel.edge(obs, action, duration, js.robot, i)
+        ns, _, r = sample_outcome(edge.rows[ts.satisfaction], rng)
+        tables.append(table_from_observation(edge.next_obs, ns))
+        next_obs.append(edge.next_obs)
         rewards.append(r)
     next_js = JointState(robot=robot, tables=tuple(tables), clock=js.clock + duration)
     return JointStepResult(
         next=next_js,
-        obs=tuple(observe(ts) for ts in tables),
+        obs=tuple(next_obs),
         reward=float(math.fsum(rewards)),
         duration=duration,
         table_rewards=tuple(rewards),

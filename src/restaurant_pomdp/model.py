@@ -20,6 +20,15 @@ class IllegalActionError(ValueError):
     """An action was applied in a state where it is not legal."""
 
 
+class ModelInvariantError(RuntimeError):
+    """A structural property of the model failed to hold.
+
+    Raised instead of ``assert`` so the check survives ``python -O``: a
+    belief that no longer sums to one, an observable prediction that depends
+    on satisfaction, or a cached edge of the wrong shape.
+    """
+
+
 class ActionKind(str, Enum):
     GO_TO = "go_to"
     SERVE = "serve"
@@ -107,6 +116,48 @@ class TableState:
         return self.hand_raise == 0
 
 
+@dataclass(frozen=True, slots=True)
+class Observation:
+    """The eight observable variables of one table (satisfaction excluded)."""
+
+    food: int
+    water: int
+    cooking_status: int
+    current_request: int
+    hand_raise: int
+    t_since_served: int
+    t_since_food_ready: int
+    t_since_request: int
+
+
+def observe(ts_next: TableState, action: Action | None = None) -> Observation:
+    """Deterministic observation of a table: everything except satisfaction."""
+    return Observation(
+        food=ts_next.food,
+        water=ts_next.water,
+        cooking_status=ts_next.cooking_status,
+        current_request=ts_next.current_request,
+        hand_raise=ts_next.hand_raise,
+        t_since_served=ts_next.t_since_served,
+        t_since_food_ready=ts_next.t_since_food_ready,
+        t_since_request=ts_next.t_since_request,
+    )
+
+
+def table_from_observation(obs: Observation, satisfaction: int) -> TableState:
+    return TableState(
+        satisfaction=satisfaction,
+        food=obs.food,
+        water=obs.water,
+        cooking_status=obs.cooking_status,
+        current_request=obs.current_request,
+        hand_raise=obs.hand_raise,
+        t_since_served=obs.t_since_served,
+        t_since_food_ready=obs.t_since_food_ready,
+        t_since_request=obs.t_since_request,
+    )
+
+
 def fresh_table(satisfaction: int) -> TableState:
     """A table at the start of its dining process (wants the menu)."""
     return TableState(
@@ -146,6 +197,23 @@ def sample_categorical(probs, rng: np.random.Generator) -> int:
         if u < acc:
             return i
     return len(probs) - 1
+
+
+def sample_outcome(outcomes, rng: np.random.Generator):
+    """One entry of ``outcomes``, tuples whose second item is a probability.
+
+    Draws a uniform only when there is more than one outcome, so a
+    deterministic transition leaves the random stream untouched.
+    """
+    if len(outcomes) == 1:
+        return outcomes[0]
+    u = rng.random()
+    acc = 0.0
+    for outcome in outcomes:
+        acc += outcome[1]
+        if u < acc:
+            return outcome
+    return outcomes[-1]
 
 
 def initial_joint_state(cfg: RestaurantConfig, rng: np.random.Generator) -> JointState:

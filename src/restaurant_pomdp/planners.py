@@ -18,27 +18,26 @@ from .belief import (
     Belief,
     Observation,
     belief_predict,
-    observable_joint_state,
-    observe,
     table_from_observation,
 )
 from .config import ConfigError, RestaurantConfig
 from .dynamics import navigation_duration
 from .joint import DEFAULT_SUPPORT_CAP, SupportCapError, enumerate_joint_transitions
+from .kernel import sorted_legal, table_kernel
 from .model import (
     Action,
     ActionKind,
     JointState,
+    ModelInvariantError,
     NOOP,
     RobotState,
     action_sort_key,
     go_to,
-    legal_actions,
     manhattan,
     serve,
     serve_blocked,
 )
-from .rewards import expected_reward, table_transition_outcomes
+from .rewards import expected_reward
 
 POLICY_KINDS = ("random", "fcfs", "greedy", "mcts", "expectimax")
 
@@ -92,8 +91,8 @@ def parse_policy_spec(text: str) -> PolicySpec:
 
 
 def sorted_legal_actions(b: Belief, cfg: RestaurantConfig) -> tuple[Action, ...]:
-    acts = legal_actions(observable_joint_state(b), cfg)
-    return tuple(sorted(acts, key=action_sort_key))
+    """Legal actions in the fixed tie-breaking order, memoized per config."""
+    return table_kernel(cfg).legal(b.robot, b.observables)
 
 
 # --- Baselines ---------------------------------------------------------------
@@ -215,8 +214,9 @@ def value_expectimax(
 # observable joint trajectory is a function of the action history alone and
 # tree nodes are action histories. The dynamics and rewards along an edge
 # depend on hidden satisfaction only through small per-table lookup tables,
-# which are computed once via the exact model and cached; a simulation then
-# reduces to integer satisfaction bookkeeping plus one uniform draw per serve.
+# which are read from the shared edge table of :mod:`.kernel` and folded into
+# sampling rows; a simulation then reduces to integer satisfaction
+# bookkeeping plus one uniform draw per serve.
 
 _DET = 0
 _STOCH = 1
@@ -373,6 +373,7 @@ class _Search:
         rng: random.Random,
     ) -> None:
         self.cfg = cfg
+        self.kernel = table_kernel(cfg)
         self.caches = caches
         self.c = exploration
         self.max_depth = max_depth
@@ -397,13 +398,8 @@ class _Search:
     def _legal(self, key: _JointKey) -> tuple[Action, ...]:
         cached = self.caches.legal.get(key)
         if cached is None:
-            robot = RobotState(*key[0])
-            tables = tuple(
-                table_from_observation(Observation(*t), 0) for t in key[1]
-            )
-            js = JointState(robot=robot, tables=tables, clock=0)
-            cached = tuple(
-                sorted(legal_actions(js, self.cfg), key=action_sort_key)
+            cached = sorted_legal(
+                RobotState(*key[0]), tuple(Observation(*t) for t in key[1]), self.cfg
             )
             self.caches.legal[key] = cached
         return cached
@@ -432,46 +428,25 @@ class _Search:
         if cached is not None:
             return cached
 
-        obs = Observation(*tobs)
-        robot = RobotState(*robot_pos)
-        next_tobs: _TableKey | None = None
+        edge = self.kernel.edge(
+            Observation(*tobs), action, duration, RobotState(*robot_pos), index
+        )
+        next_tobs = _obs_key(edge.next_obs)
         if cache_key[0] == "s":
             by_sat = []
-            for s in range(self.sat_values):
-                outcomes = table_transition_outcomes(
-                    table_from_observation(obs, s), action, duration, robot,
-                    self.cfg, index,
-                )
+            for rows in edge.rows:
                 acc = 0.0
-                rows = []
-                for ns, p, r in outcomes:
+                cum_rows = []
+                for s_next, p, r in rows:
                     acc += p
-                    rows.append((acc, ns.satisfaction, r))
-                    ot = _obs_key(observe(ns))
-                    if next_tobs is None:
-                        next_tobs = ot
-                    else:
-                        assert next_tobs == ot
-                by_sat.append(tuple(rows))
+                    cum_rows.append((acc, s_next, r))
+                by_sat.append(tuple(cum_rows))
             entry = (next_tobs, (_STOCH, tuple(by_sat)))
         else:
-            sat_map = []
-            reward_vec = []
-            for s in range(self.sat_values):
-                outcomes = table_transition_outcomes(
-                    table_from_observation(obs, s), action, duration, robot,
-                    self.cfg, index,
-                )
-                assert len(outcomes) == 1
-                ns, _, r = outcomes[0]
-                sat_map.append(ns.satisfaction)
-                reward_vec.append(r)
-                ot = _obs_key(observe(ns))
-                if next_tobs is None:
-                    next_tobs = ot
-                else:
-                    assert next_tobs == ot
-            entry = (next_tobs, (_DET, tuple(sat_map), tuple(reward_vec)))
+            # The edge table guarantees one row per level for these events.
+            sat_map = tuple(rows[0][0] for rows in edge.rows)
+            reward_vec = tuple(rows[0][2] for rows in edge.rows)
+            entry = (next_tobs, (_DET, sat_map, reward_vec))
         self.caches.table_edges[cache_key] = entry
         return entry
 
@@ -509,7 +484,10 @@ class _Search:
 
         k = self.sat_values
         stoch = [i for i, e in enumerate(entries) if e[0] == _STOCH]
-        assert len(stoch) <= 1, "at most one table transitions stochastically"
+        if len(stoch) > 1:
+            raise ModelInvariantError(
+                f"{action} makes {len(stoch)} tables transition stochastically"
+            )
         if self.code_table is not None:
             if not stoch:
                 next_codes = []

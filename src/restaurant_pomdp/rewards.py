@@ -19,18 +19,22 @@ each discounted at its own step inside the action.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .config import RestaurantConfig
 from .dynamics import action_duration, tick_table, transition_distribution
-from .belief import Belief, observable_joint_state, table_from_observation
+from .kernel import table_kernel
 from .model import (
     Action,
     ActionKind,
     IllegalActionError,
     RobotState,
     TableState,
-    legal_actions,
     manhattan,
 )
+
+if TYPE_CHECKING:
+    from .belief import Belief
 
 
 def reward(
@@ -106,20 +110,20 @@ def expected_reward(b: Belief, action: Action, cfg: RestaurantConfig) -> float:
     """Expected joint reward of ``action`` under the belief.
 
     Sums, over tables and satisfaction values, the probability-weighted
-    accrued rewards of every transition outcome.
+    accrued rewards of every transition outcome, read from the per-table
+    edge cache of :mod:`.kernel`.
     """
-    if action not in legal_actions(observable_joint_state(b), cfg):
+    kernel = table_kernel(cfg)
+    if action not in kernel.legal(b.robot, b.observables):
         raise IllegalActionError(f"{action} is not legal in this belief state")
     duration = action_duration(b.robot, action, cfg)
     total = 0.0
     for i, (obs, vec) in enumerate(zip(b.observables, b.satisfaction)):
         if obs.hand_raise == 0:
             continue
+        er = kernel.edge(obs, action, duration, b.robot, i).expected
         for sat, p in enumerate(vec):
             if p == 0.0:
                 continue
-            outcomes = table_transition_outcomes(
-                table_from_observation(obs, sat), action, duration, b.robot, cfg, i
-            )
-            total += p * sum(q * r for _, q, r in outcomes)
+            total += p * er[sat]
     return total

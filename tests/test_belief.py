@@ -19,6 +19,7 @@ from restaurant_pomdp.dynamics import transition_distribution
 from restaurant_pomdp.joint import step_joint
 from restaurant_pomdp.model import (
     NOOP,
+    ModelInvariantError,
     TableState,
     action_sort_key,
     all_done,
@@ -154,6 +155,29 @@ def test_belief_step_rejects_wrong_duration(small_cfg):
     predicted, duration = belief_predict(b, NOOP, small_cfg)
     with pytest.raises(ValueError):
         belief_step(b, NOOP, duration + 1, predicted.observables, small_cfg)
+
+
+def test_belief_step_rejects_a_vector_that_does_not_sum_to_one(small_cfg):
+    b = belief_init(small_cfg)
+    drifted = dataclasses.replace(b, satisfaction=((0.0, 0.0, 0.9),))
+    predicted, duration = belief_predict(drifted, NOOP, small_cfg)
+    with pytest.raises(ModelInvariantError, match="sums to 0.9"):
+        belief_step(drifted, NOOP, duration, predicted.observables, small_cfg)
+
+
+def test_belief_step_rejects_drift_on_a_departed_table(small_cfg):
+    b = belief_init(small_cfg)
+    done = dataclasses.replace(b.observables[0], hand_raise=0)
+    drifted = Belief(robot=b.robot, observables=(done,), satisfaction=((0.3, 0.3, 0.3),))
+    with pytest.raises(ModelInvariantError):
+        belief_step(drifted, NOOP, 1, (done,), small_cfg)
+
+
+def test_belief_predict_rejects_a_vector_without_mass(small_cfg):
+    b = belief_init(small_cfg)
+    empty = dataclasses.replace(b, satisfaction=((0.0, 0.0, 0.0),))
+    with pytest.raises(ModelInvariantError, match="no mass"):
+        belief_predict(empty, NOOP, small_cfg)
 
 
 def test_posterior_equals_prediction_information_neutrality(small_cfg):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from restaurant_pomdp.config import ConfigError
 from restaurant_pomdp.dynamics import (
     apply_serve,
     navigation_duration,
@@ -18,6 +19,7 @@ from restaurant_pomdp.model import (
     TableState,
     fresh_table,
     go_to,
+    sample_outcome,
     serve,
 )
 
@@ -107,6 +109,23 @@ def test_tick_on_done_table_raises(paper_cfg):
     done = TableState(0, 3, 3, 2, 8, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         tick_table(done, paper_cfg)
+
+
+def test_tick_on_unvalidated_config_raises(paper_cfg):
+    unvalidated = dataclasses.replace(paper_cfg, time_max=None)
+    with pytest.raises(ConfigError, match="time_max"):
+        tick_table(fresh_table(5), unvalidated)
+
+
+def test_sample_outcome_draws_only_for_a_split():
+    rng = np.random.default_rng(3)
+    untouched = np.random.default_rng(3)
+    assert sample_outcome((("only", 1.0),), rng) == ("only", 1.0)
+    assert rng.random() == untouched.random()
+    split = (("up", 0.6, 1.0), ("same", 0.4, 2.0))
+    u = untouched.random()
+    assert sample_outcome(split, rng) == (split[0] if u < 0.6 else split[1])
+    assert rng.random() == untouched.random()
 
 
 def test_faster_decay_while_waiting_for_food(paper_cfg):
