@@ -13,13 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import RestaurantConfig
+from .config import ConfigError, RestaurantConfig
 from .dynamics import action_duration
 from .kernel import table_kernel
 from .model import (
     Action,
     ActionKind,
-    JointState,
     ModelInvariantError,
     Observation,
     RobotState,
@@ -51,23 +50,14 @@ class Belief:
 def belief_init(cfg: RestaurantConfig) -> Belief:
     """Initial belief: configured prior per table, fresh observable state."""
     prior = cfg.satisfaction_prior
-    assert prior is not None, "config must be validated first"
+    if prior is None:
+        raise ConfigError("config must be validated first: satisfaction_prior is unset")
     obs = observe(fresh_table(0))
     return Belief(
         robot=RobotState(*cfg.robot_start),
         observables=(obs,) * cfg.n_tables,
         satisfaction=(tuple(prior),) * cfg.n_tables,
     )
-
-
-def observable_joint_state(b: Belief, clock: int = 0) -> JointState:
-    """A joint state with the belief's observables; satisfaction filled with 0.
-
-    Action legality never depends on satisfaction, so this is sufficient for
-    computing legal actions from a belief.
-    """
-    tables = tuple(table_from_observation(o, 0) for o in b.observables)
-    return JointState(robot=b.robot, tables=tables, clock=clock)
 
 
 def belief_predict(b: Belief, action: Action, cfg: RestaurantConfig) -> tuple[Belief, int]:

@@ -3,8 +3,9 @@
 These are the checks behind the CLI ``verify`` subcommand: exhaustive
 transition row sums over the reachable state space, the exact filter against
 brute-force forward enumeration, a fixed reward spot table, and per-table
-marginal consistency of the joint model. They are deliberately redundant with
-the unit-test suite so a built artifact can be re-validated in the field.
+marginal consistency of the joint model. The unit and acceptance suites call
+these same functions, so ``verify`` re-validates a built artifact in the
+field with exactly the oracles the tests use.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from .harness import (
     evaluate,
     metrics_csv_row,
     METRICS_COLUMNS,
+    paired_difference,
     run_batch,
     run_episode,
     write_trace_jsonl,
@@ -132,15 +133,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _paired_se(diffs: list[float]) -> float:
-    n = len(diffs)
-    mean = sum(diffs) / n
-    if n < 2:
-        return 0.0
-    var = sum((d - mean) ** 2 for d in diffs) / (n - 1)
-    return math.sqrt(var / n)
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     if not args.policy:
@@ -161,9 +153,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         se = metrics.stddev_return / math.sqrt(len(returns))
         print(f"{label}: mean_return={metrics.mean_return:.4f} se={se:.4f}")
     for (la, _, ra), (lb, _, rb) in zip(results, results[1:]):
-        diffs = [x - y for x, y in zip(ra, rb)]
-        se = _paired_se(diffs)
-        mean = sum(diffs) / len(diffs)
+        mean, se = paired_difference(ra, rb)
         z = mean / se if se > 0 else math.inf
         print(f"{la} - {lb}: paired_diff={mean:.4f} se={se:.4f} z={z:.2f}")
     print(f"comparison written to {args.out}")

@@ -241,8 +241,18 @@ def evaluate(
     return aggregate(run_batch(spec, cfg, episodes, base_seed, workers), cfg.n_tables)
 
 
-def default_workers() -> int:
-    return max(1, min(8, os.cpu_count() or 1))
+def paired_difference(a: list[float], b: list[float]) -> tuple[float, float]:
+    """Mean of ``a[i] - b[i]`` over shared seeds and its standard error.
+
+    The standard error is 0.0 for a single pair.
+    """
+    diffs = [x - y for x, y in zip(a, b, strict=True)]
+    n = len(diffs)
+    mean = math.fsum(diffs) / n
+    if n < 2:
+        return mean, 0.0
+    var = math.fsum((d - mean) ** 2 for d in diffs) / (n - 1)
+    return mean, math.sqrt(var / n)
 
 
 # --- Trace serialization (JSON lines, one step per line) ----------------------

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .config import RestaurantConfig
+from .config import ConfigError, RestaurantConfig
 
 
 class IllegalActionError(ValueError):
@@ -188,17 +188,6 @@ def all_done(js: JointState) -> bool:
     return all(ts.done for ts in js.tables)
 
 
-def sample_categorical(probs, rng: np.random.Generator) -> int:
-    """Index drawn from a probability vector via a single uniform draw."""
-    u = rng.random()
-    acc = 0.0
-    for i, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            return i
-    return len(probs) - 1
-
-
 def sample_outcome(outcomes, rng: np.random.Generator):
     """One entry of ``outcomes``, tuples whose second item is a probability.
 
@@ -223,9 +212,11 @@ def initial_joint_state(cfg: RestaurantConfig, rng: np.random.Generator) -> Join
     prior, so identical seeds give identical initial states.
     """
     prior = cfg.satisfaction_prior
-    assert prior is not None, "config must be validated first"
+    if prior is None:
+        raise ConfigError("config must be validated first: satisfaction_prior is unset")
+    levels = tuple(enumerate(prior))
     tables = tuple(
-        fresh_table(sample_categorical(prior, rng)) for _ in range(cfg.n_tables)
+        fresh_table(sample_outcome(levels, rng)[0]) for _ in range(cfg.n_tables)
     )
     return JointState(robot=RobotState(*cfg.robot_start), tables=tables, clock=0)
 

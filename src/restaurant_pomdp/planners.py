@@ -52,7 +52,6 @@ class PolicySpec:
     budget: int = 1000
     exploration: float = DEFAULT_EXPLORATION
     max_depth: int = 10
-    rollout: str = "random"
     depth: int = 3
 
 
@@ -65,8 +64,6 @@ def validate_policy_spec(spec: PolicySpec) -> PolicySpec:
         raise ConfigError("search depth must be >= 1")
     if spec.exploration < 0:
         raise ConfigError("exploration constant must be >= 0")
-    if spec.rollout != "random":
-        raise ConfigError(f"unknown rollout policy: {spec.rollout!r}")
     return spec
 
 
@@ -83,8 +80,6 @@ def parse_policy_spec(text: str) -> PolicySpec:
                 kwargs[key] = int(raw)
             elif key == "exploration":
                 kwargs[key] = float(raw)
-            elif key == "rollout":
-                kwargs[key] = raw
             else:
                 raise ConfigError(f"unknown policy parameter: {key!r}")
     return validate_policy_spec(PolicySpec(kind=name, **kwargs))
@@ -226,9 +221,8 @@ _JointKey = tuple[tuple[int, int], tuple[_TableKey, ...]]
 
 _HAND_IDX = 4  # position of hand_raise in the observation tuple
 
-# Joint satisfaction vectors are encoded little-endian into one integer; up to
-# this many codes the edge tables are materialized eagerly as flat lists.
-_EAGER_CODE_LIMIT = 4096
+# Joint satisfaction vectors are encoded little-endian into one integer; the
+# per-edge tables over these codes are filled on first use of each code.
 
 
 def _decode(code: int, n: int, k: int) -> tuple[int, ...]:
@@ -265,42 +259,27 @@ def _stoch_row(entries, sats, j: int, k: int):
     return tuple(rows)
 
 
-class _LazyDetNext(dict):
-    """next-code table computed on demand for large joint satisfaction spaces."""
+class _LazyDet(dict):
+    """``(next_code, reward)`` per code of a deterministic edge, on demand."""
 
     def __init__(self, entries, k: int) -> None:
         super().__init__()
         self._entries = entries
         self._k = k
 
-    def __missing__(self, code: int) -> int:
+    def __missing__(self, code: int) -> tuple[int, float]:
         k = self._k
-        out = 0
+        next_code = 0
+        reward = 0.0
         mult = 1
         c = code
         for e in self._entries:
             c, s = c // k, c % k
-            out += e[1][s] * mult
+            next_code += e[1][s] * mult
+            reward += e[2][s]
             mult *= k
-        self[code] = out
+        out = self[code] = (next_code, reward)
         return out
-
-
-class _LazyDetReward(dict):
-    def __init__(self, entries, k: int) -> None:
-        super().__init__()
-        self._entries = entries
-        self._k = k
-
-    def __missing__(self, code: int) -> float:
-        k = self._k
-        total = 0.0
-        c = code
-        for e in self._entries:
-            c, s = c // k, c % k
-            total += e[2][s]
-        self[code] = total
-        return total
 
 
 class _LazyRows(dict):
@@ -333,13 +312,12 @@ def _obs_key(obs: Observation) -> _TableKey:
 class MctsCaches:
     """Memoized observable dynamics shared across searches for one config."""
 
-    __slots__ = ("table_edges", "joint_edges", "legal", "code_table")
+    __slots__ = ("table_edges", "joint_edges", "legal")
 
     def __init__(self) -> None:
         self.table_edges: dict = {}
         self.joint_edges: dict = {}
         self.legal: dict = {}
-        self.code_table: list[tuple[int, ...]] | None = None
 
 
 class _Node:
@@ -378,20 +356,10 @@ class _Search:
         self.c = exploration
         self.max_depth = max_depth
         self.rng = rng
-        k = cfg.sat_max + 1
-        self.sat_values = k
+        self.sat_values = cfg.sat_max + 1
         self.gamma_pow = {
             d: cfg.gamma**d for d in range(1, cfg.duration_max_nav + 1)
         }
-        n_codes = k**cfg.n_tables
-        if n_codes <= _EAGER_CODE_LIMIT:
-            if caches.code_table is None:
-                caches.code_table = [
-                    _decode(code, cfg.n_tables, k) for code in range(n_codes)
-                ]
-            self.code_table = caches.code_table
-        else:
-            self.code_table = None
 
     # -- cached model queries --
 
@@ -453,11 +421,13 @@ class _Search:
     def _edge(self, key: _JointKey, action: Action):
         """Cached joint transition for one action at one observable state.
 
-        The per-table lookup tables are folded into arrays indexed by a single
-        encoded satisfaction vector, so applying an edge during simulation is
-        one or two list lookups. The edge tuple is
-        ``(duration, next_key, tag, payload...)`` with tag 0 for fully
-        deterministic edges and tag 1 when a serve outcome must be sampled.
+        The per-table lookup tables are folded into one dict indexed by a
+        single encoded satisfaction vector and filled per code on first use,
+        so applying an edge during simulation is one lookup. The edge tuple is
+        ``(duration, next_key, tag, table)``: tag 0 marks a fully
+        deterministic edge whose table maps a code to ``(next_code, reward)``,
+        tag 1 an edge whose serve outcome is sampled from the table's
+        cumulative rows.
         """
         edge_key = (key, action)
         cached = self.caches.joint_edges.get(edge_key)
@@ -488,35 +458,10 @@ class _Search:
             raise ModelInvariantError(
                 f"{action} makes {len(stoch)} tables transition stochastically"
             )
-        if self.code_table is not None:
-            if not stoch:
-                next_codes = []
-                rewards = []
-                for sats in self.code_table:
-                    r = 0.0
-                    code = 0
-                    mult = 1
-                    for i, e in enumerate(entries):
-                        s = sats[i]
-                        r += e[2][s]
-                        code += e[1][s] * mult
-                        mult *= k
-                    next_codes.append(code)
-                    rewards.append(r)
-                edge = (duration, next_key, 0, next_codes, rewards)
-            else:
-                rows = [
-                    _stoch_row(entries, sats, stoch[0], k)
-                    for sats in self.code_table
-                ]
-                edge = (duration, next_key, 1, rows, None)
-        elif not stoch:
-            edge = (
-                duration, next_key, 0,
-                _LazyDetNext(entries, k), _LazyDetReward(entries, k),
-            )
+        if not stoch:
+            edge = (duration, next_key, 0, _LazyDet(entries, k))
         else:
-            edge = (duration, next_key, 1, _LazyRows(entries, k, stoch[0]), None)
+            edge = (duration, next_key, 1, _LazyRows(entries, k, stoch[0]))
         self.caches.joint_edges[edge_key] = edge
         return edge
 
@@ -535,8 +480,8 @@ class _Search:
             acts = self._legal(key)
             edge = self._edge(key, acts[randrange(len(acts))])
             if edge[2] == 0:
-                value += discount * edge[4][code]
-                code = edge[3][code]
+                code, r = edge[3][code]
+                value += discount * r
             else:
                 u = rand()
                 for cum, next_code, r in edge[3][code]:
@@ -618,8 +563,7 @@ class _Search:
                     edge = self._edge(node.key, node.actions[idx])
                     node.edges[idx] = edge
                 if edge[2] == 0:
-                    r = edge[4][code]
-                    code = edge[3][code]
+                    code, r = edge[3][code]
                 else:
                     u = rand()
                     for cum, next_code, row_r in edge[3][code]:

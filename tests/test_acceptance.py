@@ -9,9 +9,13 @@ import statistics
 import time
 
 import numpy as np
-import pytest
 
-from restaurant_pomdp.checks import reachable_joint_states, random_joint_state
+from restaurant_pomdp.checks import (
+    check_filter_vs_enumeration,
+    check_marginal_consistency,
+    check_reward_spot_table,
+    reachable_joint_states,
+)
 from restaurant_pomdp.belief import belief_init
 from restaurant_pomdp.cli import main
 from restaurant_pomdp.config import (
@@ -25,28 +29,17 @@ from restaurant_pomdp.dynamics import (
     tick_table,
     transition_distribution,
 )
-from restaurant_pomdp.harness import run_batch
+from restaurant_pomdp.harness import paired_difference, run_batch
 from restaurant_pomdp.joint import enumerate_joint_transitions
-from restaurant_pomdp.model import (
-    NOOP,
-    RobotState,
-    TableState,
-    action_sort_key,
-    fresh_table,
-    go_to,
-    legal_actions,
-    serve,
-)
+from restaurant_pomdp.model import fresh_table, legal_actions, serve
 from restaurant_pomdp.planners import (
     MctsCaches,
     PolicySpec,
     mcts_search,
     value_expectimax,
 )
-from restaurant_pomdp.rewards import reward
 
 from .conftest import ACCEPTANCE_REPORTS
-from .oracles import filter_vs_enumeration_worst_gap
 
 TOL = 1e-9
 
@@ -59,24 +52,11 @@ def report(num: int, name: str, detail: str) -> None:
 
 def test_criterion_1_reward_spot_table():
     started = time.time()
-    cfg = scenario_paper_3tables()
-
-    def table(sat, t_req=0):
-        return TableState(sat, 0, 0, 0, 1, 1, 0, 0, t_req)
-
-    robot = RobotState(5, 5)
-    cases = [
-        (reward(table(0), serve(0), table(0), robot, cfg, 0), 30.0),
-        (reward(table(3), go_to(0), table(3), RobotState(4, 6), cfg, 0), -2.0),
-        (reward(table(1, 3), NOOP, table(1, 4), robot, cfg, 0), -4.913),
-        (reward(table(3), NOOP, table(4), robot, cfg, 0), 1.0),
-        (reward(table(3), NOOP, table(3), robot, cfg, 0), 0.0),
-    ]
-    for got, want in cases:
-        assert got == pytest.approx(want, abs=TOL), (got, want)
+    result = check_reward_spot_table(scenario_paper_3tables())
+    assert result.passed, result.detail
     elapsed = time.time() - started
     assert elapsed < 1.0
-    report(1, "reward spot table", f"5 values exact, {elapsed:.2f}s")
+    report(1, "reward spot table", f"{result.detail}, {elapsed:.2f}s")
 
 
 def test_criterion_2_stochastic_matrix_soundness():
@@ -148,54 +128,22 @@ def test_criterion_4_decay_endpoint():
 
 def test_criterion_5_filter_oracle_equivalence():
     started = time.time()
-    cfg = scenario_small_1table()
-    worst = filter_vs_enumeration_worst_gap(cfg, sequences=100, length=20, seed=501)
-    assert worst < TOL
+    result = check_filter_vs_enumeration(
+        scenario_small_1table(), sequences=100, length=20, seed=501
+    )
+    assert result.passed, result.detail
     elapsed = time.time() - started
     assert elapsed < 30.0
-    report(
-        5,
-        "filter-oracle equivalence",
-        f"100 sequences x 20 actions, worst gap {worst:.2e}, {elapsed:.1f}s",
-    )
+    report(5, "filter-oracle equivalence", f"{result.detail}, {elapsed:.1f}s")
 
 
 def test_criterion_6_joint_independence():
     started = time.time()
-    cfg = scenario_small_1table()
-    rng = np.random.default_rng(601)
-    worst = 0.0
-    for _ in range(500):
-        js = random_joint_state(rng, cfg)
-        acts = sorted(legal_actions(js, cfg), key=action_sort_key)
-        action = acts[int(rng.integers(len(acts)))]
-        duration = action_duration(js.robot, action, cfg)
-        joint = enumerate_joint_transitions(js, action, cfg)
-        for i, ts in enumerate(js.tables):
-            marginal: dict = {}
-            for nxt, p, _ in joint:
-                marginal[nxt.tables[i]] = marginal.get(nxt.tables[i], 0.0) + p
-            for ns, p in transition_distribution(ts, action, duration, cfg, i):
-                gap = abs(marginal.pop(ns) - p)
-                worst = max(worst, gap)
-                assert gap < TOL
-            assert not marginal
+    result = check_marginal_consistency(scenario_small_1table(), pairs=500, seed=601)
+    assert result.passed, result.detail
     elapsed = time.time() - started
     assert elapsed < 30.0
-    report(
-        6,
-        "joint independence",
-        f"500 random pairs, worst marginal gap {worst:.2e}, {elapsed:.1f}s",
-    )
-
-
-def _paired_z(a: list[float], b: list[float]) -> tuple[float, float, float]:
-    diffs = [x - y for x, y in zip(a, b)]
-    n = len(diffs)
-    mean = math.fsum(diffs) / n
-    var = math.fsum((d - mean) ** 2 for d in diffs) / (n - 1)
-    se = math.sqrt(var / n)
-    return mean, se, mean / se
+    report(6, "joint independence", f"{result.detail}, {elapsed:.1f}s")
 
 
 def test_criterion_7_planner_sanity():
@@ -216,8 +164,9 @@ def test_criterion_7_planner_sanity():
         PolicySpec(kind="mcts", budget=1000, max_depth=10), workers=2
     )
 
-    g_mean, g_se, g_z = _paired_z(greedy_returns, random_returns)
-    m_mean, m_se, m_z = _paired_z(mcts_returns, random_returns)
+    g_mean, g_se = paired_difference(greedy_returns, random_returns)
+    m_mean, m_se = paired_difference(mcts_returns, random_returns)
+    g_z, m_z = g_mean / g_se, m_mean / m_se
     assert g_z > 2.0, (g_mean, g_se)
     assert m_z > 2.0, (m_mean, m_se)
     elapsed = time.time() - started

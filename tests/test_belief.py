@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -14,8 +13,8 @@ from restaurant_pomdp.belief import (
     observe,
     table_from_observation,
 )
+from restaurant_pomdp.checks import check_filter_vs_enumeration
 from restaurant_pomdp.config import validate_config
-from restaurant_pomdp.dynamics import transition_distribution
 from restaurant_pomdp.joint import step_joint
 from restaurant_pomdp.model import (
     NOOP,
@@ -235,56 +234,6 @@ def test_normalization_preserved_over_long_random_run(two_cfg):
 
 
 def test_filter_matches_exhaustive_forward_enumeration(small_cfg):
-    """Exact filter vs brute-force distribution over full table states.
-
-    The oracle tracks a joint distribution over complete states through the
-    same action/observation sequence and marginalizes satisfaction.
-    """
-    for seq_seed in range(10):
-        rng = np.random.default_rng(1000 + seq_seed)
-        js = initial_joint_state(small_cfg, rng)
-        b = belief_init(small_cfg)
-        prior = small_cfg.satisfaction_prior
-        oracle: dict[tuple[TableState, ...], float] = {}
-        support = [(s, p) for s, p in enumerate(prior) if p > 0]
-        for combo in itertools.product(support, repeat=small_cfg.n_tables):
-            prob = 1.0
-            for _, p in combo:
-                prob *= p
-            oracle[tuple(fresh_table(s) for s, _ in combo)] = prob
-        for _ in range(20):
-            if all_done(js):
-                break
-            acts = sorted(legal_actions(js, small_cfg), key=action_sort_key)
-            action = acts[int(rng.integers(len(acts)))]
-            result = step_joint(js, action, small_cfg, rng)
-            b = belief_step(b, action, result.duration, result.obs, small_cfg)
-            js = result.next
-
-            pushed: dict[tuple[TableState, ...], float] = {}
-            for tables, p in oracle.items():
-                dists = [
-                    transition_distribution(ts, action, result.duration, small_cfg, i)
-                    for i, ts in enumerate(tables)
-                ]
-                for combo in itertools.product(*dists):
-                    q = p
-                    for _, pq in combo:
-                        q *= pq
-                    key = tuple(ns for ns, _ in combo)
-                    pushed[key] = pushed.get(key, 0.0) + q
-            conditioned = {
-                tables: p
-                for tables, p in pushed.items()
-                if tuple(observe(ts) for ts in tables) == result.obs
-            }
-            total = math.fsum(conditioned.values())
-            assert total > 0
-            oracle = {k: v / total for k, v in conditioned.items()}
-
-            for i in range(small_cfg.n_tables):
-                marginal = [0.0] * (small_cfg.sat_max + 1)
-                for tables, p in oracle.items():
-                    marginal[tables[i].satisfaction] += p
-                for s in range(small_cfg.sat_max + 1):
-                    assert abs(marginal[s] - b.satisfaction[i][s]) < 1e-9
+    """Exact filter vs brute-force distribution over full table states."""
+    result = check_filter_vs_enumeration(small_cfg, 10, 20, 1000)
+    assert result.passed, result.detail

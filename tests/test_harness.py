@@ -9,6 +9,7 @@ from restaurant_pomdp.harness import (
     EpisodeTrace,
     aggregate,
     evaluate,
+    paired_difference,
     read_trace_actions,
     replay_actions,
     run_batch,
@@ -183,6 +184,13 @@ def test_summarize_empty_trace(two_cfg):
     assert s.discounted_return == 0.0
     assert s.final_satisfactions == trace.initial_satisfactions
     assert s.tables_done == (False, False)
+
+
+def test_paired_difference_mean_and_standard_error():
+    mean, se = paired_difference([3.0, 5.0, 7.0], [2.0, 3.0, 4.0])
+    assert mean == 2.0
+    assert se == pytest.approx(1 / math.sqrt(3), abs=1e-15)
+    assert paired_difference([4.0], [1.5]) == (2.5, 0.0)
 
 
 def test_evaluate_requires_at_least_one_episode(two_cfg):

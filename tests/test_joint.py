@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from restaurant_pomdp.belief import observe
-from restaurant_pomdp.checks import random_joint_state
+from restaurant_pomdp.checks import check_marginal_consistency, random_joint_state
 from restaurant_pomdp.config import RestaurantConfig, validate_config
 from restaurant_pomdp.dynamics import (
     action_duration,
@@ -210,20 +210,8 @@ def test_enumeration_rejects_illegal_action(two_cfg):
 
 def test_per_table_marginals_match_table_dynamics(two_cfg):
     """Independence: joint marginals equal single-table distributions."""
-    rng = np.random.default_rng(13)
-    for _ in range(200):
-        js = random_joint_state(rng, two_cfg)
-        acts = sorted(legal_actions(js, two_cfg), key=action_sort_key)
-        action = acts[int(rng.integers(len(acts)))]
-        duration = action_duration(js.robot, action, two_cfg)
-        joint = enumerate_joint_transitions(js, action, two_cfg)
-        for i, ts in enumerate(js.tables):
-            marginal: dict[TableState, float] = {}
-            for nxt, p, _ in joint:
-                marginal[nxt.tables[i]] = marginal.get(nxt.tables[i], 0.0) + p
-            for ns, p in transition_distribution(ts, action, duration, two_cfg, i):
-                assert marginal.pop(ns) == pytest.approx(p, abs=1e-9)
-            assert not marginal
+    result = check_marginal_consistency(two_cfg, 200, 13)
+    assert result.passed, result.detail
 
 
 def test_sampled_steps_match_enumeration_chi_square(two_cfg):

@@ -323,25 +323,8 @@ def test_mcts_error_decreases_with_budget(small_cfg):
     assert medians[0] > medians[1] > medians[2]
 
 
-def test_mcts_lazy_edge_tables_match_eager(two_cfg, monkeypatch):
-    """Above the eager limit, edges come from lazy tables; results must match."""
-    import restaurant_pomdp.planners as planners_mod
-
-    b = waiting_belief(two_cfg, [6, 3])
-    rng_args = dict(budget=400, max_depth=6)
-    eager = mcts_search(
-        b, two_cfg, rng=np.random.default_rng(3), caches=MctsCaches(), **rng_args
-    )
-    monkeypatch.setattr(planners_mod, "_EAGER_CODE_LIMIT", 1)
-    lazy = mcts_search(
-        b, two_cfg, rng=np.random.default_rng(3), caches=MctsCaches(), **rng_args
-    )
-    assert lazy[0] == eager[0]
-    assert lazy[1] == pytest.approx(eager[1], abs=1e-12)
-
-
 def test_mcts_runs_on_large_joint_satisfaction_space():
-    """Five tables exceed the eager code limit and exercise the lazy path."""
+    """Five tables: 6**5 joint satisfaction codes, filled only where visited."""
     from restaurant_pomdp.config import RestaurantConfig
 
     cfg = validate_config(

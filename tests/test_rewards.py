@@ -16,6 +16,7 @@ from restaurant_pomdp.model import (
     go_to,
     serve,
 )
+from restaurant_pomdp.planners import sorted_legal_actions
 from restaurant_pomdp.rewards import expected_reward, reward
 
 
@@ -198,9 +199,6 @@ def brute_force_expected_reward(b: Belief, action, cfg) -> float:
 
 def test_expected_reward_matches_brute_force_on_small_instance(small_cfg):
     """Every (belief, action) pair on a grid of observable states and vectors."""
-    from restaurant_pomdp.belief import observable_joint_state
-    from restaurant_pomdp.model import action_sort_key, legal_actions
-
     vectors = [
         (1.0, 0.0, 0.0),
         (0.0, 0.0, 1.0),
@@ -223,8 +221,7 @@ def test_expected_reward_matches_brute_force_on_small_instance(small_cfg):
     for obs in observables:
         for vec in vectors:
             b = Belief(robot=base.robot, observables=(obs,), satisfaction=(vec,))
-            js = observable_joint_state(b)
-            for action in sorted(legal_actions(js, small_cfg), key=action_sort_key):
+            for action in sorted_legal_actions(b, small_cfg):
                 got = expected_reward(b, action, small_cfg)
                 want = brute_force_expected_reward(b, action, small_cfg)
                 assert got == pytest.approx(want, abs=1e-9), (obs, vec, action)
