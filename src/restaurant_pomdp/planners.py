@@ -21,19 +21,17 @@ from .belief import (
     table_from_observation,
 )
 from .config import ConfigError, RestaurantConfig
-from .dynamics import navigation_duration
+from .dynamics import action_duration
 from .joint import DEFAULT_SUPPORT_CAP, SupportCapError, enumerate_joint_transitions
-from .kernel import sorted_legal, table_kernel
+from .kernel import TableEdge, sorted_legal, table_kernel
 from .model import (
     Action,
     ActionKind,
     JointState,
-    ModelInvariantError,
     NOOP,
     RobotState,
     action_sort_key,
     go_to,
-    manhattan,
     serve,
     serve_blocked,
 )
@@ -206,131 +204,130 @@ def value_expectimax(
 # --- Monte-Carlo tree search -------------------------------------------------
 #
 # Observations are deterministic copies of the observable variables, so the
-# observable joint trajectory is a function of the action history alone and
-# tree nodes are action histories. The dynamics and rewards along an edge
-# depend on hidden satisfaction only through small per-table lookup tables,
-# which are read from the shared edge table of :mod:`.kernel` and folded into
-# sampling rows; a simulation then reduces to integer satisfaction
-# bookkeeping plus one uniform draw per serve.
-
-_DET = 0
-_STOCH = 1
-
-_TableKey = tuple[int, ...]
-_JointKey = tuple[tuple[int, int], tuple[_TableKey, ...]]
-
-_HAND_IDX = 4  # position of hand_raise in the observation tuple
-
+# observable joint trajectory is a function of the action history alone. The
+# search walks a graph of observable joint states shared by every search of a
+# config: each state holds its legal actions and, per action, a joint edge
+# built from the tables' edges in :mod:`.kernel`. The dynamics and rewards
+# along an edge depend on hidden satisfaction only through those edges' rows,
+# which are folded into one lookup per joint satisfaction vector; a
+# simulation then reduces to integer satisfaction bookkeeping plus one
+# uniform draw per serve.
+#
 # Joint satisfaction vectors are encoded little-endian into one integer; the
 # per-edge tables over these codes are filled on first use of each code.
 
 
-def _decode(code: int, n: int, k: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(n):
-        code, s = divmod(code, k)
-        out.append(s)
-    return tuple(out)
+class _LazyTable(dict):
+    """One joint edge's outcome per joint satisfaction code, filled on demand.
 
-
-def _stoch_row(entries, sats, j: int, k: int):
-    """One sampling row: deterministic contributions folded around table ``j``.
-
-    The final cumulative threshold is forced to infinity so a uniform draw
-    always selects a row.
+    With no serve target ``j`` the outcome is ``(next_code, reward)``: every
+    table then has one row per satisfaction level, as the kernel rejects a
+    second outcome on any event but a serve. With one, the outcome is the
+    sampling rows ``(cum, next_code, reward)``: the other tables' rows folded
+    around the target's, whose probabilities become cumulative thresholds,
+    the last forced to infinity so a uniform draw always selects a row.
     """
-    det_r = 0.0
-    base = 0
-    mult = 1
-    j_mult = 1
-    for i, e in enumerate(entries):
-        if i == j:
-            j_mult = mult
-        else:
-            det_r += e[2][sats[i]]
-            base += e[1][sats[i]] * mult
-        mult *= k
-    rows = [
-        (cum, base + s_next * j_mult, det_r + r)
-        for cum, s_next, r in entries[j][1][sats[j]]
-    ]
-    last = rows[-1]
-    rows[-1] = (math.inf, last[1], last[2])
-    return tuple(rows)
 
-
-class _LazyDet(dict):
-    """``(next_code, reward)`` per code of a deterministic edge, on demand."""
-
-    def __init__(self, entries, k: int) -> None:
+    def __init__(self, edges: tuple[TableEdge, ...], k: int, j: int | None) -> None:
         super().__init__()
-        self._entries = entries
-        self._k = k
+        self.edges = edges
+        self.k = k
+        self.j = j
 
-    def __missing__(self, code: int) -> tuple[int, float]:
-        k = self._k
+    def __missing__(self, code: int):
+        k = self.k
         next_code = 0
         reward = 0.0
         mult = 1
         c = code
-        for e in self._entries:
+        for i, e in enumerate(self.edges):
             c, s = c // k, c % k
-            next_code += e[1][s] * mult
-            reward += e[2][s]
+            if i == self.j:
+                j_mult, j_rows = mult, e.rows[s]
+            else:
+                s_next, _, r = e.rows[s][0]
+                next_code += s_next * mult
+                reward += r
             mult *= k
-        out = self[code] = (next_code, reward)
+        if self.j is None:
+            out = self[code] = (next_code, reward)
+            return out
+        rows = []
+        acc = 0.0
+        for s_next, p, r in j_rows:
+            acc += p
+            rows.append((acc, next_code + s_next * j_mult, reward + r))
+        rows[-1] = (math.inf, *rows[-1][1:])
+        out = self[code] = tuple(rows)
         return out
 
 
-class _LazyRows(dict):
-    def __init__(self, entries, k: int, j: int) -> None:
-        super().__init__()
-        self._entries = entries
-        self._k = k
-        self._j = j
+class _State:
+    """One observable joint state, shared by every search of a config.
 
-    def __missing__(self, code: int):
-        sats = _decode(code, len(self._entries), self._k)
-        row = _stoch_row(self._entries, sats, self._j, self._k)
-        self[code] = row
-        return row
+    ``actions`` is the sorted legal set and ``edges`` holds one joint edge
+    per action (``None`` until first used); both are filled when a search
+    first acts from the state.
+    """
 
+    __slots__ = ("robot", "observables", "done", "actions", "edges")
 
-def _obs_key(obs: Observation) -> _TableKey:
-    return (
-        obs.food,
-        obs.water,
-        obs.cooking_status,
-        obs.current_request,
-        obs.hand_raise,
-        obs.t_since_served,
-        obs.t_since_food_ready,
-        obs.t_since_request,
-    )
+    def __init__(self, robot: RobotState, observables: tuple[Observation, ...]) -> None:
+        self.robot = robot
+        self.observables = observables
+        self.done = all(o.hand_raise == 0 for o in observables)
+        self.actions: tuple[Action, ...] | None = None
+        self.edges: list | None = None
 
 
 class MctsCaches:
-    """Memoized observable dynamics shared across searches for one config."""
+    """The observable states searched for one config, kept across searches.
 
-    __slots__ = ("table_edges", "joint_edges", "legal")
+    ``states`` is the one store; ``legal``, ``joint_edges`` and
+    ``table_edges`` are read-only views computed from it.
+    """
+
+    __slots__ = ("states",)
 
     def __init__(self) -> None:
-        self.table_edges: dict = {}
-        self.joint_edges: dict = {}
-        self.legal: dict = {}
+        self.states: dict[tuple[RobotState, tuple[Observation, ...]], _State] = {}
+
+    @property
+    def legal(self) -> dict:
+        """Sorted legal actions of each state a search has acted from."""
+        return {
+            key: st.actions for key, st in self.states.items() if st.actions is not None
+        }
+
+    @property
+    def joint_edges(self) -> dict:
+        """Filled joint edges, keyed by (state key, action)."""
+        return {
+            (key, st.actions[i]): edge
+            for key, st in self.states.items()
+            if st.edges is not None
+            for i, edge in enumerate(st.edges)
+            if edge is not None
+        }
+
+    @property
+    def table_edges(self) -> list[TableEdge]:
+        """The distinct kernel edges the filled joint edges are built from."""
+        distinct = {
+            id(e): e for edge in self.joint_edges.values() for e in edge[3].edges
+        }
+        return list(distinct.values())
 
 
 class _Node:
+    """Per-tree visit statistics at one state; actions and edges live on it."""
+
     __slots__ = (
-        "key", "all_done", "actions", "edges", "children", "n", "na", "wa",
-        "q", "inv_sqrt", "untried", "expanded",
+        "state", "children", "n", "na", "wa", "q", "inv_sqrt", "untried", "expanded",
     )
 
-    def __init__(self, key: _JointKey) -> None:
-        self.key = key
-        self.all_done = all(t[_HAND_IDX] == 0 for t in key[1])
-        self.actions: tuple[Action, ...] = ()
-        self.edges: list = []
+    def __init__(self, state: _State) -> None:
+        self.state = state
         self.children: list = []
         self.n = 0
         self.na: list[int] = []
@@ -352,7 +349,7 @@ class _Search:
     ) -> None:
         self.cfg = cfg
         self.kernel = table_kernel(cfg)
-        self.caches = caches
+        self.states = caches.states
         self.c = exploration
         self.max_depth = max_depth
         self.rng = rng
@@ -361,124 +358,60 @@ class _Search:
             d: cfg.gamma**d for d in range(1, cfg.duration_max_nav + 1)
         }
 
-    # -- cached model queries --
+    # -- shared observable states --
 
-    def _legal(self, key: _JointKey) -> tuple[Action, ...]:
-        cached = self.caches.legal.get(key)
-        if cached is None:
-            cached = sorted_legal(
-                RobotState(*key[0]), tuple(Observation(*t) for t in key[1]), self.cfg
-            )
-            self.caches.legal[key] = cached
-        return cached
+    def _state(self, robot: RobotState, observables: tuple[Observation, ...]) -> _State:
+        key = (robot, observables)
+        st = self.states.get(key)
+        if st is None:
+            st = self.states[key] = _State(robot, observables)
+        return st
 
-    def _table_edge(self, tobs: _TableKey, action: Action, duration: int,
-                    robot_pos: tuple[int, int], index: int):
-        """Per-table lookup tables for one action execution.
+    def _actions(self, st: _State) -> tuple[Action, ...]:
+        """The state's sorted legal actions, filled on first use."""
+        if st.actions is None:
+            st.actions = sorted_legal(st.robot, st.observables, self.cfg)
+            st.edges = [None] * len(st.actions)
+        return st.actions
 
-        Returns ``(next_tobs, (_DET, sat_map, reward_vec))`` or
-        ``(next_tobs, (_STOCH, outcomes_by_sat))`` with cumulative
-        probabilities for sampling.
+    def _edge(self, st: _State, idx: int):
+        """The joint edge of the state's ``idx``-th action, built on first use.
+
+        The edge tuple is ``(duration, next_state, tag, table)``: tag 0 marks
+        a deterministic edge whose :class:`_LazyTable` maps a code to
+        ``(next_code, reward)``, tag 1 a serve whose outcome is sampled from
+        the target's cumulative rows.
         """
-        if tobs[_HAND_IDX] == 0:
-            identity = tuple(range(self.sat_values))
-            zeros = (0.0,) * self.sat_values
-            return (tobs, (_DET, identity, zeros))
-        targeted = action.table == index
-        if targeted and action.kind is ActionKind.SERVE:
-            cache_key = ("s", tobs)
-        elif targeted and action.kind is ActionKind.GO_TO:
-            dist = manhattan(robot_pos, self.cfg.table_positions[index])
-            cache_key = ("g", duration, dist, tobs)
-        else:
-            cache_key = ("t", duration, tobs)
-        cached = self.caches.table_edges.get(cache_key)
-        if cached is not None:
-            return cached
-
-        edge = self.kernel.edge(
-            Observation(*tobs), action, duration, RobotState(*robot_pos), index
+        action = st.actions[idx]
+        duration = action_duration(st.robot, action, self.cfg)
+        edges = tuple(
+            self.kernel.edge(obs, action, duration, st.robot, i)
+            for i, obs in enumerate(st.observables)
         )
-        next_tobs = _obs_key(edge.next_obs)
-        if cache_key[0] == "s":
-            by_sat = []
-            for rows in edge.rows:
-                acc = 0.0
-                cum_rows = []
-                for s_next, p, r in rows:
-                    acc += p
-                    cum_rows.append((acc, s_next, r))
-                by_sat.append(tuple(cum_rows))
-            entry = (next_tobs, (_STOCH, tuple(by_sat)))
-        else:
-            # The edge table guarantees one row per level for these events.
-            sat_map = tuple(rows[0][0] for rows in edge.rows)
-            reward_vec = tuple(rows[0][2] for rows in edge.rows)
-            entry = (next_tobs, (_DET, sat_map, reward_vec))
-        self.caches.table_edges[cache_key] = entry
-        return entry
-
-    def _edge(self, key: _JointKey, action: Action):
-        """Cached joint transition for one action at one observable state.
-
-        The per-table lookup tables are folded into one dict indexed by a
-        single encoded satisfaction vector and filled per code on first use,
-        so applying an edge during simulation is one lookup. The edge tuple is
-        ``(duration, next_key, tag, table)``: tag 0 marks a fully
-        deterministic edge whose table maps a code to ``(next_code, reward)``,
-        tag 1 an edge whose serve outcome is sampled from the table's
-        cumulative rows.
-        """
-        edge_key = (key, action)
-        cached = self.caches.joint_edges.get(edge_key)
-        if cached is not None:
-            return cached
-        robot_pos = key[0]
+        robot = st.robot
         if action.kind is ActionKind.GO_TO:
-            assert action.table is not None
-            duration = navigation_duration(
-                RobotState(*robot_pos), self.cfg.table_positions[action.table],
-                self.cfg,
-            )
-            next_robot = self.cfg.table_positions[action.table]
+            robot = RobotState(*self.cfg.table_positions[action.table])
+        next_state = self._state(robot, tuple(e.next_obs for e in edges))
+        if action.kind is ActionKind.SERVE:
+            edge = (duration, next_state, 1, _LazyTable(edges, self.sat_values, action.table))
         else:
-            duration = 1
-            next_robot = robot_pos
-        next_tobs = []
-        entries = []
-        for i, tobs in enumerate(key[1]):
-            nt, entry = self._table_edge(tobs, action, duration, robot_pos, i)
-            next_tobs.append(nt)
-            entries.append(entry)
-        next_key = (next_robot, tuple(next_tobs))
-
-        k = self.sat_values
-        stoch = [i for i, e in enumerate(entries) if e[0] == _STOCH]
-        if len(stoch) > 1:
-            raise ModelInvariantError(
-                f"{action} makes {len(stoch)} tables transition stochastically"
-            )
-        if not stoch:
-            edge = (duration, next_key, 0, _LazyDet(entries, k))
-        else:
-            edge = (duration, next_key, 1, _LazyRows(entries, k, stoch[0]))
-        self.caches.joint_edges[edge_key] = edge
+            edge = (duration, next_state, 0, _LazyTable(edges, self.sat_values, None))
+        st.edges[idx] = edge
         return edge
 
     # -- simulation --
 
-    def _rollout(self, key: _JointKey, code: int, steps: int) -> float:
+    def _rollout(self, st: _State, code: int, steps: int) -> float:
         value = 0.0
         discount = 1.0
         rng = self.rng
         randrange = rng.randrange
         rand = rng.random
         gamma_pow = self.gamma_pow
-        while steps > 0:
-            if all(t[_HAND_IDX] == 0 for t in key[1]):
-                break
-            acts = self._legal(key)
-            edge = self._edge(key, acts[randrange(len(acts))])
+        while steps > 0 and not st.done:
+            acts = st.actions or self._actions(st)
+            idx = randrange(len(acts))
+            edge = st.edges[idx] or self._edge(st, idx)
             if edge[2] == 0:
                 code, r = edge[3][code]
                 value += discount * r
@@ -490,15 +423,12 @@ class _Search:
                         code = next_code
                         break
             discount *= gamma_pow[edge[0]]
-            key = edge[1]
+            st = edge[1]
             steps -= 1
         return value
 
     def _expand(self, node: _Node) -> None:
-        acts = self._legal(node.key)
-        n = len(acts)
-        node.actions = acts
-        node.edges = [None] * n
+        n = len(self._actions(node.state))
         node.children = [None] * n
         node.na = [0] * n
         node.wa = [0.0] * n
@@ -506,10 +436,8 @@ class _Search:
         node.inv_sqrt = [0.0] * n
         node.expanded = True
 
-    def run(
-        self, root_key: _JointKey, samplers, budget: int
-    ) -> tuple[int, _Node]:
-        root = _Node(root_key)
+    def run(self, root_state: _State, samplers, budget: int) -> tuple[int, _Node]:
+        root = _Node(root_state)
         rand = self.rng.random
         sqrt, log = math.sqrt, math.log
         c = self.c
@@ -538,11 +466,11 @@ class _Search:
             path = []
             tail = 0.0
             while True:
-                if node.all_done or depth == max_depth:
+                if node.state.done or depth == max_depth:
                     break
                 if not node.expanded:
                     self._expand(node)
-                    tail = self._rollout(node.key, code, max_depth - depth)
+                    tail = self._rollout(node.state, code, max_depth - depth)
                     break
                 na = node.na
                 if node.untried < len(na):
@@ -558,10 +486,7 @@ class _Search:
                         u = q[i] + bonus * inv[i]
                         if u > best_u:
                             idx, best_u = i, u
-                edge = node.edges[idx]
-                if edge is None:
-                    edge = self._edge(node.key, node.actions[idx])
-                    node.edges[idx] = edge
+                edge = node.state.edges[idx] or self._edge(node.state, idx)
                 if edge[2] == 0:
                     code, r = edge[3][code]
                 else:
@@ -624,10 +549,6 @@ def mcts_search(
         caches = MctsCaches()
     internal = random.Random(int(rng.integers(2**63)))
     search = _Search(cfg, caches, exploration, max_depth, internal)
-    root_key: _JointKey = (
-        b.robot.pos(),
-        tuple(_obs_key(o) for o in b.observables),
-    )
     samplers: list = []
     for vec in b.satisfaction:
         support = [s for s, p in enumerate(vec) if p > 0.0]
@@ -640,8 +561,8 @@ def mcts_search(
                 acc += p
                 cum.append(acc)
             samplers.append(tuple(cum))
-    best, root = search.run(root_key, samplers, budget)
-    action = root.actions[best]
+    best, root = search.run(search._state(b.robot, b.observables), samplers, budget)
+    action = root.state.actions[best]
     visits = root.na[best]
     value = root.wa[best] / visits if visits else 0.0
     return action, value

@@ -20,6 +20,8 @@ GOLDEN = {
     ("paper-3tables", "fcfs", 1): "16e2c1440af36a2786d6ae3f8da059066822050bfc08c459433692562779dd02",
     ("paper-3tables", "random", 0): "605205a8bec0d56304b30c0aca10fa4ac2b3469154d846de18117e4a2fb300e8",
     ("paper-3tables", "random", 1): "0eeebdaa1d1c3617d96f0545624cd6794ec178f047df8eb6c89bcf880f3a0572",
+    ("paper-3tables", "mcts:budget=200", 0): "ba1eaf7499c47007da11757a89f9004c12c8549662c88858705fb55decc22909",
+    ("small-1table", "mcts:budget=200", 0): "cd170f1eaf69bec7ded761cb1110d0192ebe6d4c502948eda9282b95fd3a2325",
     ("two-tables", "mcts:budget=200", 0): "72dbeb965ad6fda9c8aeb06fdcf3da024f5e2521ec71f6974bc1704b5a4f4e7a",
 }
 

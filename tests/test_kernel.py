@@ -138,3 +138,17 @@ def test_fill_rejects_an_observation_that_depends_on_satisfaction(two_cfg, monke
     obs = observe(fresh_table(0))
     with pytest.raises(ModelInvariantError, match="depends on satisfaction"):
         table_kernel(cfg).edge(obs, NOOP, 1, RobotState(*cfg.robot_start), 0)
+
+
+def test_fill_rejects_a_second_outcome_on_a_deterministic_event(two_cfg, monkeypatch):
+    cfg = dataclasses.replace(two_cfg, horizon=18)  # a config no other test uses
+    real = rewards.table_transition_outcomes
+
+    def split(ts, *args):
+        ((ns, p, r),) = real(ts, *args)
+        return ((ns, p / 2, r), (ns, p / 2, r))
+
+    monkeypatch.setattr(rewards, "table_transition_outcomes", split)
+    obs = observe(fresh_table(0))
+    with pytest.raises(ModelInvariantError, match="expected one"):
+        table_kernel(cfg).edge(obs, NOOP, 1, RobotState(*cfg.robot_start), 0)

@@ -6,6 +6,7 @@ import pytest
 
 from restaurant_pomdp.belief import Belief, belief_init, observe
 from restaurant_pomdp.config import ConfigError, validate_config
+from restaurant_pomdp.kernel import table_kernel
 from restaurant_pomdp.model import (
     ActionKind,
     JointState,
@@ -305,6 +306,19 @@ def test_mcts_depth_one_matches_greedy_argmax(paper_cfg):
     for seed in range(5):
         pick = act_mcts(b, cfg, 2000, np.random.default_rng(seed), max_depth=1)
         assert pick == greedy_pick
+
+
+def test_mcts_reads_table_edges_only_from_the_kernel(two_cfg):
+    """The search keeps one store: its states, built on the kernel's own edges."""
+    caches = MctsCaches()
+    mcts_search(belief_init(two_cfg), two_cfg, 200, np.random.default_rng(0), caches=caches)
+    assert len(caches.joint_edges) > 0
+    assert len(caches.table_edges) > 0
+    assert len(caches.legal) > 0
+    kernel_edges = {id(e) for e in table_kernel(two_cfg).edges.values()}
+    assert all(id(e) in kernel_edges for e in caches.table_edges)
+    states = {id(st) for st in caches.states.values()}
+    assert all(id(edge[1]) in states for edge in caches.joint_edges.values())
 
 
 def test_mcts_error_decreases_with_budget(small_cfg):
