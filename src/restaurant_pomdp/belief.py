@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import ConfigError, RestaurantConfig
-from .dynamics import action_duration
+from .dynamics import action_duration, next_robot
 from .kernel import table_kernel
 from .model import (
     Action,
-    ActionKind,
     ModelInvariantError,
     Observation,
     RobotState,
@@ -70,11 +69,7 @@ def belief_predict(b: Belief, action: Action, cfg: RestaurantConfig) -> tuple[Be
     """
     kernel = table_kernel(cfg)
     duration = action_duration(b.robot, action, cfg)
-    if action.kind is ActionKind.GO_TO:
-        assert action.table is not None
-        robot = RobotState(*cfg.table_positions[action.table])
-    else:
-        robot = b.robot
+    robot = next_robot(b.robot, action, cfg)
 
     new_obs: list[Observation] = []
     new_vecs: list[tuple[float, ...]] = []

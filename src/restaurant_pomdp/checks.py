@@ -2,10 +2,12 @@
 
 These are the checks behind the CLI ``verify`` subcommand: exhaustive
 transition row sums over the reachable state space, the exact filter against
-brute-force forward enumeration, a fixed reward spot table, and per-table
-marginal consistency of the joint model. The unit and acceptance suites call
-these same functions, so ``verify`` re-validates a built artifact in the
-field with exactly the oracles the tests use.
+brute-force forward enumeration, a fixed reward spot table, per-table
+marginal consistency of the joint model, and the expected reward every
+planner reads from :mod:`.kernel` against an enumeration of joint
+satisfaction assignments. The unit and acceptance suites call these same
+functions, so ``verify`` re-validates a built artifact in the field with
+exactly the oracles the tests use.
 """
 
 from __future__ import annotations
@@ -16,10 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import belief_init, belief_step, observe
+from .belief import Belief, belief_init, belief_step, observe
 from .config import RestaurantConfig, validate_config
 from .dynamics import action_duration, transition_distribution
-from .joint import SupportCapError, enumerate_joint_transitions, step_joint
+from .joint import (
+    DEFAULT_SUPPORT_CAP,
+    SupportCapError,
+    enumerate_joint_transitions,
+    step_joint,
+)
 from .model import (
     Action,
     JointState,
@@ -33,11 +40,14 @@ from .model import (
     initial_joint_state,
     legal_actions,
     serve,
+    table_from_observation,
 )
-from .rewards import reward
+from .rewards import expected_reward, reward
 
 DEFAULT_STATE_CAP = 200_000
 TOLERANCE = 1e-9
+# Relative, for two summation orders of the same expected reward.
+REL_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -344,6 +354,86 @@ def check_marginal_consistency(
     )
 
 
+def expected_reward_by_enumeration(
+    b: Belief, action: Action, cfg: RestaurantConfig, cap: int = DEFAULT_SUPPORT_CAP
+) -> float:
+    """One-step expected reward via exhaustive joint enumeration.
+
+    Sums ``enumerate_joint_transitions`` over every joint satisfaction
+    assignment the belief supports, weighted by its probability. It shares no
+    code with :func:`.rewards.expected_reward` past the per-table model, so
+    agreement between the two is a real check of the kernel's edges. Raises
+    :class:`SupportCapError` beyond ``cap`` assignments.
+    """
+    supports = [
+        [(s, p) for s, p in enumerate(vec) if p > 0.0] for vec in b.satisfaction
+    ]
+    n_assignments = 1
+    for sup in supports:
+        n_assignments *= len(sup)
+    if n_assignments > cap:
+        raise SupportCapError(
+            f"{n_assignments} satisfaction assignments exceed cap {cap}"
+        )
+    total = 0.0
+    for combo in itertools.product(*supports):
+        prob = 1.0
+        for _, p in combo:
+            prob *= p
+        tables = tuple(
+            table_from_observation(obs, s)
+            for obs, (s, _) in zip(b.observables, combo)
+        )
+        js = JointState(robot=b.robot, tables=tables, clock=0)
+        for _, q, r in enumerate_joint_transitions(js, action, cfg, cap):
+            total += prob * q * r
+    return total
+
+
+def check_expected_reward_vs_enumeration(
+    cfg: RestaurantConfig, episodes: int = 20, seed: int = 20240903
+) -> CheckResult:
+    """The kernel's expected reward equals the joint enumeration's.
+
+    Follows random simulated episodes to the horizon; at every step each
+    legal action's :func:`.rewards.expected_reward` under the exact belief
+    must match :func:`expected_reward_by_enumeration` to within
+    ``REL_TOLERANCE`` of the larger magnitude.
+    """
+    cfg = validate_config(cfg)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    pairs = 0
+    for _ in range(episodes):
+        js = initial_joint_state(cfg, np.random.default_rng(int(rng.integers(2**63))))
+        belief = belief_init(cfg)
+        while js.clock < cfg.horizon and not all_done(js):
+            acts = sorted(legal_actions(js, cfg), key=action_sort_key)
+            for action in acts:
+                got = expected_reward(belief, action, cfg)
+                want = expected_reward_by_enumeration(belief, action, cfg)
+                scale = max(abs(got), abs(want))
+                gap = abs(got - want) / scale if scale > 0.0 else 0.0
+                worst = max(worst, gap)
+                pairs += 1
+                if gap > REL_TOLERANCE:
+                    return CheckResult(
+                        "expected_reward_vs_enumeration",
+                        False,
+                        f"{action} under {belief}: kernel {got}, enumeration {want}",
+                    )
+            action = acts[int(rng.integers(len(acts)))]
+            result = step_joint(js, action, cfg, rng)
+            belief = belief_step(belief, action, result.duration, result.obs, cfg)
+            js = result.next
+    return CheckResult(
+        "expected_reward_vs_enumeration",
+        True,
+        f"{pairs} (belief, action) pairs over {episodes} episodes, "
+        f"worst relative gap {worst:.2e}",
+    )
+
+
 def run_verify(cfg: RestaurantConfig, cap: int = DEFAULT_STATE_CAP) -> list[CheckResult]:
     """All verification checks, in a fixed order."""
     return [
@@ -351,4 +441,5 @@ def run_verify(cfg: RestaurantConfig, cap: int = DEFAULT_STATE_CAP) -> list[Chec
         check_filter_vs_enumeration(cfg),
         check_reward_spot_table(cfg),
         check_marginal_consistency(cfg),
+        check_expected_reward_vs_enumeration(cfg),
     ]

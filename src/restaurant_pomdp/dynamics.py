@@ -71,6 +71,13 @@ def action_duration(robot: RobotState, action: Action, cfg: RestaurantConfig) ->
     return 1
 
 
+def next_robot(robot: RobotState, action: Action, cfg: RestaurantConfig) -> RobotState:
+    """Robot after an action: a go_to ends at its target, anything else stays."""
+    if action.kind is ActionKind.GO_TO:
+        return RobotState(*cfg.table_positions[action.table])
+    return robot
+
+
 def meal_divisor(cfg: RestaurantConfig) -> int:
     """Steps between food/water/cooking level changes."""
     return max(1, cfg.time_max // 3)

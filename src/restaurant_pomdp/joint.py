@@ -16,15 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RestaurantConfig
-from .dynamics import action_duration
+from .dynamics import action_duration, next_robot
 from .kernel import table_kernel
 from .model import (
     Action,
-    ActionKind,
     IllegalActionError,
     JointState,
     Observation,
-    RobotState,
     TableState,
     legal_actions,
     observe,
@@ -54,13 +52,6 @@ def _check_legal(js: JointState, action: Action, cfg: RestaurantConfig) -> None:
         raise IllegalActionError(f"{action} is not legal in the current state")
 
 
-def _next_robot(js: JointState, action: Action, cfg: RestaurantConfig) -> RobotState:
-    if action.kind is ActionKind.GO_TO:
-        assert action.table is not None
-        return RobotState(*cfg.table_positions[action.table])
-    return js.robot
-
-
 def step_joint(
     js: JointState, action: Action, cfg: RestaurantConfig, rng: np.random.Generator
 ) -> JointStepResult:
@@ -73,7 +64,7 @@ def step_joint(
     if action not in kernel.legal(js.robot, observables):
         raise IllegalActionError(f"{action} is not legal in the current state")
     duration = action_duration(js.robot, action, cfg)
-    robot = _next_robot(js, action, cfg)
+    robot = next_robot(js.robot, action, cfg)
     tables: list[TableState] = []
     next_obs: list[Observation] = []
     rewards: list[float] = []
@@ -106,7 +97,7 @@ def enumerate_joint_transitions(
     """
     _check_legal(js, action, cfg)
     duration = action_duration(js.robot, action, cfg)
-    robot = _next_robot(js, action, cfg)
+    robot = next_robot(js.robot, action, cfg)
     per_table = [
         table_transition_outcomes(ts, action, duration, js.robot, cfg, i)
         for i, ts in enumerate(js.tables)

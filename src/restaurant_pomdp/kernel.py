@@ -16,9 +16,10 @@ rows ``((next_sat, prob, accrued_reward), ...)`` of
 definition of the model: an edge is filled on first use by calling it once
 per satisfaction level, in the same row order, so everything computed from
 an edge is bit-identical to computing it from the model directly. The
-expected reward, the filter, the simulator and the search all read the same
-edges; the oracles in :mod:`.checks`, ``joint.enumerate_joint_transitions``
-and the expectimax reward do not.
+expected reward, the filter, the simulator and every planner (greedy, UCT
+and expectimax) read the same edges; the oracles in :mod:`.checks`,
+``checks.expected_reward_by_enumeration`` among them, and
+``joint.enumerate_joint_transitions`` do not.
 
 Tables are keyed by config value: ``validate_config`` returns a fresh but
 equal config on every call, and equal configs share one table.

@@ -1,5 +1,5 @@
-"""Policies over belief states: three baselines, UCT search, and an exact
-finite-horizon expectimax oracle for small instances.
+"""Policies over belief states: three baselines, UCT search, and exact
+finite-horizon expectimax.
 
 All tie-breaking uses the fixed action ordering from :mod:`.model`, so every
 policy is deterministic given its random stream.
@@ -7,7 +7,6 @@ policy is deterministic given its random stream.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -21,13 +20,11 @@ from .belief import (
     table_from_observation,
 )
 from .config import ConfigError, RestaurantConfig
-from .dynamics import action_duration
-from .joint import DEFAULT_SUPPORT_CAP, SupportCapError, enumerate_joint_transitions
+from .dynamics import action_duration, next_robot
 from .kernel import TableEdge, sorted_legal, table_kernel
 from .model import (
     Action,
     ActionKind,
-    JointState,
     NOOP,
     RobotState,
     action_sort_key,
@@ -132,51 +129,22 @@ def act_greedy(b: Belief, cfg: RestaurantConfig) -> Action:
     return best_action
 
 
-# --- Exact expectimax oracle -------------------------------------------------
-
-
-def _expected_reward_enumerated(
-    b: Belief, action: Action, cfg: RestaurantConfig, cap: int
-) -> float:
-    """One-step expected reward via exhaustive joint enumeration.
-
-    Independent of :func:`.rewards.expected_reward`; used by the expectimax
-    oracle so that depth-1 agreement with the greedy policy is a real check.
-    """
-    supports = [
-        [(s, p) for s, p in enumerate(vec) if p > 0.0] for vec in b.satisfaction
-    ]
-    n_assignments = 1
-    for sup in supports:
-        n_assignments *= len(sup)
-    if n_assignments > cap:
-        raise SupportCapError(
-            f"{n_assignments} satisfaction assignments exceed cap {cap}"
-        )
-    total = 0.0
-    for combo in itertools.product(*supports):
-        prob = 1.0
-        for _, p in combo:
-            prob *= p
-        tables = tuple(
-            table_from_observation(obs, s)
-            for obs, (s, _) in zip(b.observables, combo)
-        )
-        js = JointState(robot=b.robot, tables=tables, clock=0)
-        for _, q, r in enumerate_joint_transitions(js, action, cfg, cap):
-            total += prob * q * r
-    return total
+# --- Exact expectimax --------------------------------------------------------
 
 
 def value_expectimax(
-    b: Belief, depth: int, cfg: RestaurantConfig, cap: int = DEFAULT_SUPPORT_CAP
+    b: Belief, depth: int, cfg: RestaurantConfig
 ) -> tuple[Action | None, float]:
     """Exact depth-limited value of the belief-state process.
 
     ``value(b, d) = max_a [E(reward) + gamma^duration * value(b', d-1)]`` with
     terminal value zero. The belief transition is deterministic here because
-    observations never disambiguate satisfaction. Returns the optimal root
-    action (``None`` at depth 0 or when every table is done) and the value.
+    observations never disambiguate satisfaction. Both terms read the table
+    edges of :mod:`.kernel`: ``E(reward)`` is :func:`.rewards.expected_reward`,
+    the sum greedy maximizes, and ``b'`` is :func:`.belief.belief_predict`, so
+    a node costs one pass over the tables rather than an enumeration of joint
+    satisfaction assignments. Returns the optimal root action (``None`` at
+    depth 0 or when every table is done) and the value.
     """
     memo: dict[tuple[Belief, int], tuple[Action | None, float]] = {}
 
@@ -190,7 +158,7 @@ def value_expectimax(
         best_action: Action | None = None
         best_value = -math.inf
         for a in sorted_legal_actions(belief, cfg):
-            er = _expected_reward_enumerated(belief, a, cfg, cap)
+            er = expected_reward(belief, a, cfg)
             nb, duration = belief_predict(belief, a, cfg)
             value = er + cfg.gamma**duration * rec(nb, remaining - 1)[1]
             if value > best_value:
@@ -388,10 +356,9 @@ class _Search:
             self.kernel.edge(obs, action, duration, st.robot, i)
             for i, obs in enumerate(st.observables)
         )
-        robot = st.robot
-        if action.kind is ActionKind.GO_TO:
-            robot = RobotState(*self.cfg.table_positions[action.table])
-        next_state = self._state(robot, tuple(e.next_obs for e in edges))
+        next_state = self._state(
+            next_robot(st.robot, action, self.cfg), tuple(e.next_obs for e in edges)
+        )
         if action.kind is ActionKind.SERVE:
             edge = (duration, next_state, 1, _LazyTable(edges, self.sat_values, action.table))
         else:

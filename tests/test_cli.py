@@ -135,7 +135,7 @@ def test_compare_without_policies_exits_two(tmp_path):
 def test_verify_passes_on_default_instance(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 4
+    assert out.count("PASS") == 5
     assert "FAIL" not in out
 
 

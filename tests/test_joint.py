@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from restaurant_pomdp.belief import observe
+from restaurant_pomdp.belief import Belief, belief_predict, observe
 from restaurant_pomdp.checks import check_marginal_consistency, random_joint_state
 from restaurant_pomdp.config import RestaurantConfig, validate_config
 from restaurant_pomdp.dynamics import (
     action_duration,
     navigation_duration,
+    next_robot,
     tick_table,
     transition_distribution,
 )
@@ -75,6 +76,35 @@ def test_go_to_reward_at_distance_five(two_cfg):
     res = step_joint(js, go_to(0), cfg, np.random.default_rng(0))
     assert res.duration == 1
     assert res.table_rewards[0] == pytest.approx(-5 / 3, abs=1e-9)
+
+
+def test_every_layer_moves_the_robot_by_next_robot(two_cfg):
+    """A go_to ends on its target and anything else leaves the robot put,
+    in the rule itself, the simulator, the enumeration and the filter."""
+    rng = np.random.default_rng(45)
+    checked = 0
+    for _ in range(100):
+        js = random_joint_state(rng, two_cfg)
+        b = Belief(
+            js.robot,
+            tuple(observe(ts) for ts in js.tables),
+            tuple(
+                tuple(float(s == ts.satisfaction) for s in range(two_cfg.sat_max + 1))
+                for ts in js.tables
+            ),
+        )
+        for action in sorted(legal_actions(js, two_cfg), key=action_sort_key):
+            robot = next_robot(js.robot, action, two_cfg)
+            if action.kind.value == "go_to":
+                assert robot == RobotState(*two_cfg.table_positions[action.table])
+            else:
+                assert robot == js.robot
+            assert step_joint(js, action, two_cfg, rng).next.robot == robot
+            for nxt, _, _ in enumerate_joint_transitions(js, action, two_cfg):
+                assert nxt.robot == robot
+            assert belief_predict(b, action, two_cfg)[0].robot == robot
+            checked += 1
+    assert checked > 300
 
 
 def test_nonserve_transitions_are_deterministic(two_cfg):

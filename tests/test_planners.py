@@ -252,10 +252,11 @@ def test_expectimax_depth_one_equals_greedy(small_cfg):
 
 
 def test_expectimax_support_cap(small_cfg):
+    from restaurant_pomdp.checks import expected_reward_by_enumeration
     from restaurant_pomdp.joint import SupportCapError
 
     with pytest.raises(SupportCapError):
-        value_expectimax(belief_init(small_cfg), 2, small_cfg, cap=0)
+        expected_reward_by_enumeration(belief_init(small_cfg), NOOP, small_cfg, cap=0)
 
 
 def test_expectimax_value_nondecreasing_with_optional_waiting(small_cfg):
