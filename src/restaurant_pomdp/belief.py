@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import ConfigError, RestaurantConfig
-from .dynamics import action_duration, next_robot
 from .kernel import table_kernel
 from .model import (
     Action,
@@ -62,23 +61,19 @@ def belief_init(cfg: RestaurantConfig) -> Belief:
 def belief_predict(b: Belief, action: Action, cfg: RestaurantConfig) -> tuple[Belief, int]:
     """Push the belief through the action's dynamics; returns (belief, duration).
 
-    Each table's satisfaction vector is propagated through the satisfaction
-    rows of its cached edge (see :mod:`.kernel`); the observable part
-    advances deterministically and identically for every satisfaction value,
-    which the edge table checks when it fills an entry.
+    Reads the action's joint edge from :mod:`.kernel`, which raises
+    :class:`.model.IllegalActionError` on an illegal action. Each table's
+    satisfaction vector is propagated through the satisfaction rows of its
+    table edge; the observable part advances deterministically and
+    identically for every satisfaction value, which the kernel checks when
+    it fills an edge, so the next observables are the next node's.
     """
-    kernel = table_kernel(cfg)
-    duration = action_duration(b.robot, action, cfg)
-    robot = next_robot(b.robot, action, cfg)
-
-    new_obs: list[Observation] = []
+    duration, nxt, _, _, tables = table_kernel(cfg).step(b.robot, b.observables, action)
     new_vecs: list[tuple[float, ...]] = []
-    for i, (obs, vec) in enumerate(zip(b.observables, b.satisfaction)):
+    for i, (obs, vec, edge) in enumerate(zip(b.observables, b.satisfaction, tables)):
         if obs.hand_raise == 0:
-            new_obs.append(obs)
             new_vecs.append(vec)
             continue
-        edge = kernel.edge(obs, action, duration, b.robot, i)
         rows = edge.rows
         out = [0.0] * len(vec)
         has_mass = False
@@ -90,10 +85,9 @@ def belief_predict(b: Belief, action: Action, cfg: RestaurantConfig) -> tuple[Be
                 out[ns] += p * q
         if not has_mass:
             raise ModelInvariantError(f"table {i}: belief vector has no mass")
-        new_obs.append(edge.next_obs)
         new_vecs.append(tuple(out))
     return (
-        Belief(robot=robot, observables=tuple(new_obs), satisfaction=tuple(new_vecs)),
+        Belief(robot=nxt.robot, observables=nxt.observables, satisfaction=tuple(new_vecs)),
         duration,
     )
 

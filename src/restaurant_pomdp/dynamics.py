@@ -66,7 +66,6 @@ def navigation_duration(
 def action_duration(robot: RobotState, action: Action, cfg: RestaurantConfig) -> int:
     """Time steps an action consumes; only navigation is durative."""
     if action.kind is ActionKind.GO_TO:
-        assert action.table is not None
         return navigation_duration(robot, cfg.table_positions[action.table], cfg)
     return 1
 

@@ -197,18 +197,9 @@ def aggregate(summaries: list[EpisodeSummary], n_tables: int) -> Metrics:
     )
 
 
-# Per-process policy memo so parallel workers build MCTS caches once.
-_POLICY_MEMO: dict = {}
-
-
 def _episode_summary(args) -> EpisodeSummary:
     spec, cfg, seed = args
-    key = (spec, cfg)
-    policy = _POLICY_MEMO.get(key)
-    if policy is None:
-        policy = make_policy(spec, cfg)
-        _POLICY_MEMO[key] = policy
-    return summarize(run_episode(policy, cfg, seed))
+    return summarize(run_episode(spec, cfg, seed))
 
 
 def run_batch(

@@ -57,27 +57,21 @@ def step_joint(
 ) -> JointStepResult:
     """Execute one action on the joint state, sampling the serve outcome.
 
-    Each table advances along its cached edge (see :mod:`.kernel`).
+    Each table advances along its edge in the action's joint edge (see
+    :mod:`.kernel`); the robot and observations are the next node's.
     """
-    kernel = table_kernel(cfg)
     observables = tuple(observe(ts) for ts in js.tables)
-    if action not in kernel.legal(js.robot, observables):
-        raise IllegalActionError(f"{action} is not legal in the current state")
-    duration = action_duration(js.robot, action, cfg)
-    robot = next_robot(js.robot, action, cfg)
+    duration, nxt, _, _, edges = table_kernel(cfg).step(js.robot, observables, action)
     tables: list[TableState] = []
-    next_obs: list[Observation] = []
     rewards: list[float] = []
-    for i, (ts, obs) in enumerate(zip(js.tables, observables)):
-        edge = kernel.edge(obs, action, duration, js.robot, i)
+    for ts, edge, obs in zip(js.tables, edges, nxt.observables):
         ns, _, r = sample_outcome(edge.rows[ts.satisfaction], rng)
-        tables.append(table_from_observation(edge.next_obs, ns))
-        next_obs.append(edge.next_obs)
+        tables.append(table_from_observation(obs, ns))
         rewards.append(r)
-    next_js = JointState(robot=robot, tables=tuple(tables), clock=js.clock + duration)
+    next_js = JointState(robot=nxt.robot, tables=tuple(tables), clock=js.clock + duration)
     return JointStepResult(
         next=next_js,
-        obs=tuple(next_obs),
+        obs=nxt.observables,
         reward=float(math.fsum(rewards)),
         duration=duration,
         table_rewards=tuple(rewards),

@@ -1,4 +1,4 @@
-"""Per-config table edge cache: one table's dynamics and rewards, filled lazily.
+"""Per-config store of the model: table edges and the joint-state graph.
 
 The tables are independent processes that share only the robot, so what
 one action does to one table depends only on the table's observable state
@@ -10,29 +10,37 @@ and on an *event*:
 * ``("t", duration)``: anything else (no-op, communication, or an action
   aimed at another table).
 
-An edge holds the next observation and, for each satisfaction level, the
-rows ``((next_sat, prob, accrued_reward), ...)`` of
+A table edge holds the next observation and, for each satisfaction level,
+the rows ``((next_sat, prob, accrued_reward), ...)`` of
 :func:`.rewards.table_transition_outcomes`. That function stays the only
 definition of the model: an edge is filled on first use by calling it once
 per satisfaction level, in the same row order, so everything computed from
-an edge is bit-identical to computing it from the model directly. The
-expected reward, the filter, the simulator and every planner (greedy, UCT
-and expectimax) read the same edges; the oracles in :mod:`.checks`,
+an edge is bit-identical to computing it from the model directly.
+
+Table edges compose into one graph of observable joint states. A
+:class:`JointNode` is keyed by ``(robot, observables)`` and holds its sorted
+legal actions and, per action, a joint edge made of the tables' edges (see
+:meth:`TableKernel.joint_edge`), each filled on first use. The expected
+reward, the filter, the simulator and every planner (greedy, UCT and
+expectimax) step through these nodes; the oracles in :mod:`.checks`,
 ``checks.expected_reward_by_enumeration`` among them, and
 ``joint.enumerate_joint_transitions`` do not.
 
-Tables are keyed by config value: ``validate_config`` returns a fresh but
-equal config on every call, and equal configs share one table.
+Stores are keyed by config value: ``validate_config`` returns a fresh but
+equal config on every call, and equal configs share one store.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .config import RestaurantConfig
+from .dynamics import action_duration, next_robot
 from .model import (
     Action,
     ActionKind,
+    IllegalActionError,
     JointState,
     ModelInvariantError,
     Observation,
@@ -44,10 +52,10 @@ from .model import (
     table_from_observation,
 )
 
-# Configs whose tables are kept; the oldest is dropped beyond this.
+# Configs whose stores are kept; the oldest is dropped beyond this.
 KERNEL_LIMIT = 32
-# Memoized legal sets per table; the memo is emptied when it reaches this.
-LEGAL_MEMO_LIMIT = 1 << 16
+# Joint nodes per config; the node store is emptied when it reaches this.
+NODE_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,15 +71,87 @@ class TableEdge:
     expected: tuple[float, ...]
 
 
-class TableKernel:
-    """Edges and legal sets of one config, each computed on first use."""
+class JointNode:
+    """One observable joint state, shared by every reader of a config.
 
-    __slots__ = ("cfg", "edges", "legal_sets")
+    ``actions`` (the legal set in the fixed tie-breaking order of
+    :mod:`.model`) and ``edges`` are ``None`` until :meth:`TableKernel.actions`
+    fills them, as many nodes are only ever reached, never left;
+    ``edges[i]``, the joint edge of ``actions[i]``, is ``None`` until
+    :meth:`TableKernel.joint_edge` builds it.
+    """
+
+    __slots__ = ("robot", "observables", "done", "actions", "edges")
+
+    def __init__(self, robot: RobotState, observables: tuple[Observation, ...]) -> None:
+        self.robot = robot
+        self.observables = observables
+        self.done = all(o.hand_raise == 0 for o in observables)
+        self.actions: tuple[Action, ...] | None = None
+        self.edges: list | None = None
+
+
+# Joint satisfaction vectors are encoded little-endian into one integer; an
+# edge's outcome table over these codes is filled on first use of each code.
+
+
+class _LazyTable(dict):
+    """One joint edge's outcome per joint satisfaction code, filled on demand.
+
+    With no serve target ``j`` the outcome is ``(next_code, reward)``: every
+    table then has one row per satisfaction level, as :meth:`TableKernel._fill`
+    rejects a second outcome on any event but a serve. With one, the outcome
+    is the sampling rows ``(cum, next_code, reward)``: the other tables' rows
+    folded around the target's, whose probabilities become cumulative
+    thresholds, the last forced to infinity so a uniform draw always selects
+    a row.
+    """
+
+    __slots__ = ("edges", "k", "j")
+
+    def __init__(self, edges: tuple[TableEdge, ...], k: int, j: int | None) -> None:
+        super().__init__()
+        self.edges = edges
+        self.k = k
+        self.j = j
+
+    def __missing__(self, code: int):
+        k = self.k
+        next_code = 0
+        reward = 0.0
+        mult = 1
+        c = code
+        for i, e in enumerate(self.edges):
+            c, s = c // k, c % k
+            if i == self.j:
+                j_mult, j_rows = mult, e.rows[s]
+            else:
+                s_next, _, r = e.rows[s][0]
+                next_code += s_next * mult
+                reward += r
+            mult *= k
+        if self.j is None:
+            out = self[code] = (next_code, reward)
+            return out
+        rows = []
+        acc = 0.0
+        for s_next, p, r in j_rows:
+            acc += p
+            rows.append((acc, next_code + s_next * j_mult, reward + r))
+        rows[-1] = (math.inf, *rows[-1][1:])
+        out = self[code] = tuple(rows)
+        return out
+
+
+class TableKernel:
+    """Table edges and joint nodes of one config, each computed on first use."""
+
+    __slots__ = ("cfg", "edges", "nodes")
 
     def __init__(self, cfg: RestaurantConfig) -> None:
         self.cfg = cfg
         self.edges: dict[tuple[Observation, tuple], TableEdge] = {}
-        self.legal_sets: dict[tuple[RobotState, tuple[Observation, ...]], tuple[Action, ...]] = {}
+        self.nodes: dict[tuple[RobotState, tuple[Observation, ...]], JointNode] = {}
 
     def edge(
         self,
@@ -128,40 +208,79 @@ class TableKernel:
         expected = tuple(sum(q * r for _, q, r in sat_rows) for sat_rows in rows)
         return TableEdge(next_obs, tuple(rows), expected)
 
-    def legal(
-        self, robot: RobotState, observables: tuple[Observation, ...]
-    ) -> tuple[Action, ...]:
-        """:func:`sorted_legal`, memoized on ``(robot, observables)``."""
+    def node(self, robot: RobotState, observables: tuple[Observation, ...]) -> JointNode:
+        """The joint node of ``(robot, observables)``, created on first use."""
         key = (robot, observables)
-        acts = self.legal_sets.get(key)
-        if acts is None:
-            if len(self.legal_sets) >= LEGAL_MEMO_LIMIT:
-                self.legal_sets.clear()
-            acts = self.legal_sets[key] = sorted_legal(robot, observables, self.cfg)
-        return acts
+        node = self.nodes.get(key)
+        if node is None:
+            if len(self.nodes) >= NODE_LIMIT:
+                self.nodes.clear()
+            node = self.nodes[key] = JointNode(robot, observables)
+        return node
 
+    def actions(self, node: JointNode) -> tuple[Action, ...]:
+        """The node's legal actions, filled on first use."""
+        if node.actions is None:
+            # Legality never depends on satisfaction, so the observables suffice.
+            tables = tuple(table_from_observation(o, 0) for o in node.observables)
+            legal = legal_actions(JointState(robot=node.robot, tables=tables, clock=0), self.cfg)
+            node.actions = tuple(sorted(legal, key=action_sort_key))
+            node.edges = [None] * len(node.actions)
+        return node.actions
 
-def sorted_legal(
-    robot: RobotState, observables: tuple[Observation, ...], cfg: RestaurantConfig
-) -> tuple[Action, ...]:
-    """Legal actions in the fixed tie-breaking order (see :mod:`.model`).
+    def joint_edge(self, node: JointNode, idx: int) -> tuple:
+        """The joint edge of the node's ``idx``-th action, built on first use.
 
-    Legality never depends on satisfaction, so the observables suffice.
-    """
-    tables = tuple(table_from_observation(o, 0) for o in observables)
-    js = JointState(robot=robot, tables=tables, clock=0)
-    return tuple(sorted(legal_actions(js, cfg), key=action_sort_key))
+        The node's actions must have been filled.
+
+        The edge is ``(duration, next, tag, outcomes, tables)``: ``next`` is
+        the next node, ``tables`` the tables' edges in table order and
+        ``outcomes`` their :class:`_LazyTable` over satisfaction codes; tag 0
+        marks a deterministic edge, tag 1 a serve, whose outcome is sampled
+        from the target's cumulative rows.
+        """
+        action = node.actions[idx]
+        robot = node.robot
+        duration = action_duration(robot, action, self.cfg)
+        tables = tuple(
+            self.edge(obs, action, duration, robot, i)
+            for i, obs in enumerate(node.observables)
+        )
+        nxt = self.node(
+            next_robot(robot, action, self.cfg), tuple(e.next_obs for e in tables)
+        )
+        k = self.cfg.sat_max + 1
+        if action.kind is ActionKind.SERVE:
+            edge = (duration, nxt, 1, _LazyTable(tables, k, action.table), tables)
+        else:
+            edge = (duration, nxt, 0, _LazyTable(tables, k, None), tables)
+        node.edges[idx] = edge
+        return edge
+
+    def step(
+        self, robot: RobotState, observables: tuple[Observation, ...], action: Action
+    ) -> tuple:
+        """The joint edge of ``action`` from ``(robot, observables)``.
+
+        Raises :class:`.model.IllegalActionError` if the action is not legal.
+        """
+        node = self.node(robot, observables)
+        try:
+            idx = (node.actions or self.actions(node)).index(action)
+        except ValueError:
+            raise IllegalActionError(f"{action} is not legal in this state") from None
+        return node.edges[idx] or self.joint_edge(node, idx)
 
 
 _kernels: dict[RestaurantConfig, TableKernel] = {}
-# Shortcut from a config object to its table, so that a caller holding the
+# Shortcut from a config object to its store, so that a caller holding the
 # same object does not hash the config again. Each entry keeps its config
 # alive, so an id is never reused while it is here.
 _by_id: dict[int, tuple[RestaurantConfig, TableKernel]] = {}
 
 
 def table_kernel(cfg: RestaurantConfig) -> TableKernel:
-    """The edge table of ``cfg`` (a validated config), shared by equal configs."""
+    """The store of ``cfg`` (a validated config), shared by equal configs."""
     hit = _by_id.get(id(cfg))
     if hit is not None and hit[0] is cfg:
         return hit[1]

@@ -130,7 +130,7 @@ class Observation:
     t_since_request: int
 
 
-def observe(ts_next: TableState, action: Action | None = None) -> Observation:
+def observe(ts_next: TableState) -> Observation:
     """Deterministic observation of a table: everything except satisfaction."""
     return Observation(
         food=ts_next.food,

@@ -13,20 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import (
-    Belief,
-    Observation,
-    belief_predict,
-    table_from_observation,
-)
+from .belief import Belief, belief_predict, table_from_observation
 from .config import ConfigError, RestaurantConfig
-from .dynamics import action_duration, next_robot
-from .kernel import TableEdge, sorted_legal, table_kernel
+from .kernel import JointNode, TableEdge, table_kernel
 from .model import (
     Action,
-    ActionKind,
     NOOP,
-    RobotState,
     action_sort_key,
     go_to,
     serve,
@@ -81,8 +73,9 @@ def parse_policy_spec(text: str) -> PolicySpec:
 
 
 def sorted_legal_actions(b: Belief, cfg: RestaurantConfig) -> tuple[Action, ...]:
-    """Legal actions in the fixed tie-breaking order, memoized per config."""
-    return table_kernel(cfg).legal(b.robot, b.observables)
+    """Legal actions in the fixed tie-breaking order, from the kernel's node."""
+    kernel = table_kernel(cfg)
+    return kernel.actions(kernel.node(b.robot, b.observables))
 
 
 # --- Baselines ---------------------------------------------------------------
@@ -119,13 +112,13 @@ def act_fcfs(b: Belief, cfg: RestaurantConfig) -> Action:
 
 def act_greedy(b: Belief, cfg: RestaurantConfig) -> Action:
     """Myopic argmax of one-step expected reward under the belief."""
-    best_action: Action | None = None
+    acts = sorted_legal_actions(b, cfg)
+    best_action = acts[0]
     best_value = -math.inf
-    for a in sorted_legal_actions(b, cfg):
+    for a in acts:
         value = expected_reward(b, a, cfg)
         if value > best_value:
             best_action, best_value = a, value
-    assert best_action is not None
     return best_action
 
 
@@ -173,128 +166,58 @@ def value_expectimax(
 #
 # Observations are deterministic copies of the observable variables, so the
 # observable joint trajectory is a function of the action history alone. The
-# search walks a graph of observable joint states shared by every search of a
-# config: each state holds its legal actions and, per action, a joint edge
-# built from the tables' edges in :mod:`.kernel`. The dynamics and rewards
-# along an edge depend on hidden satisfaction only through those edges' rows,
-# which are folded into one lookup per joint satisfaction vector; a
-# simulation then reduces to integer satisfaction bookkeeping plus one
-# uniform draw per serve.
-#
-# Joint satisfaction vectors are encoded little-endian into one integer; the
-# per-edge tables over these codes are filled on first use of each code.
+# search walks the joint-state graph of :mod:`.kernel`, shared by every reader
+# of a config: each node holds its legal actions and, per action, a joint edge
+# built from the tables' edges. The dynamics and rewards along an edge depend
+# on hidden satisfaction only through those edges' rows, which the edge folds
+# into one lookup per joint satisfaction code; a simulation then reduces to
+# integer satisfaction bookkeeping plus one uniform draw per serve. The search
+# itself keeps only its tree statistics.
 
 
-class _LazyTable(dict):
-    """One joint edge's outcome per joint satisfaction code, filled on demand.
+class _StoreView:
+    """Read-only views of the kernel's joint-state store for one config."""
 
-    With no serve target ``j`` the outcome is ``(next_code, reward)``: every
-    table then has one row per satisfaction level, as the kernel rejects a
-    second outcome on any event but a serve. With one, the outcome is the
-    sampling rows ``(cum, next_code, reward)``: the other tables' rows folded
-    around the target's, whose probabilities become cumulative thresholds,
-    the last forced to infinity so a uniform draw always selects a row.
-    """
+    __slots__ = ("cfg",)
 
-    def __init__(self, edges: tuple[TableEdge, ...], k: int, j: int | None) -> None:
-        super().__init__()
-        self.edges = edges
-        self.k = k
-        self.j = j
-
-    def __missing__(self, code: int):
-        k = self.k
-        next_code = 0
-        reward = 0.0
-        mult = 1
-        c = code
-        for i, e in enumerate(self.edges):
-            c, s = c // k, c % k
-            if i == self.j:
-                j_mult, j_rows = mult, e.rows[s]
-            else:
-                s_next, _, r = e.rows[s][0]
-                next_code += s_next * mult
-                reward += r
-            mult *= k
-        if self.j is None:
-            out = self[code] = (next_code, reward)
-            return out
-        rows = []
-        acc = 0.0
-        for s_next, p, r in j_rows:
-            acc += p
-            rows.append((acc, next_code + s_next * j_mult, reward + r))
-        rows[-1] = (math.inf, *rows[-1][1:])
-        out = self[code] = tuple(rows)
-        return out
-
-
-class _State:
-    """One observable joint state, shared by every search of a config.
-
-    ``actions`` is the sorted legal set and ``edges`` holds one joint edge
-    per action (``None`` until first used); both are filled when a search
-    first acts from the state.
-    """
-
-    __slots__ = ("robot", "observables", "done", "actions", "edges")
-
-    def __init__(self, robot: RobotState, observables: tuple[Observation, ...]) -> None:
-        self.robot = robot
-        self.observables = observables
-        self.done = all(o.hand_raise == 0 for o in observables)
-        self.actions: tuple[Action, ...] | None = None
-        self.edges: list | None = None
-
-
-class MctsCaches:
-    """The observable states searched for one config, kept across searches.
-
-    ``states`` is the one store; ``legal``, ``joint_edges`` and
-    ``table_edges`` are read-only views computed from it.
-    """
-
-    __slots__ = ("states",)
-
-    def __init__(self) -> None:
-        self.states: dict[tuple[RobotState, tuple[Observation, ...]], _State] = {}
+    def __init__(self, cfg: RestaurantConfig) -> None:
+        self.cfg = cfg
 
     @property
     def legal(self) -> dict:
-        """Sorted legal actions of each state a search has acted from."""
+        """Sorted legal actions of every stored node left at least once."""
         return {
-            key: st.actions for key, st in self.states.items() if st.actions is not None
+            key: node.actions
+            for key, node in table_kernel(self.cfg).nodes.items()
+            if node.actions is not None
         }
 
     @property
     def joint_edges(self) -> dict:
-        """Filled joint edges, keyed by (state key, action)."""
+        """Built joint edges, keyed by (node key, action)."""
         return {
-            (key, st.actions[i]): edge
-            for key, st in self.states.items()
-            if st.edges is not None
-            for i, edge in enumerate(st.edges)
+            (key, node.actions[i]): edge
+            for key, node in table_kernel(self.cfg).nodes.items()
+            if node.edges is not None
+            for i, edge in enumerate(node.edges)
             if edge is not None
         }
 
     @property
     def table_edges(self) -> list[TableEdge]:
-        """The distinct kernel edges the filled joint edges are built from."""
-        distinct = {
-            id(e): e for edge in self.joint_edges.values() for e in edge[3].edges
-        }
+        """The distinct table edges the built joint edges are made of."""
+        distinct = {id(e): e for edge in self.joint_edges.values() for e in edge[4]}
         return list(distinct.values())
 
 
 class _Node:
-    """Per-tree visit statistics at one state; actions and edges live on it."""
+    """Per-tree visit statistics at one kernel node."""
 
     __slots__ = (
         "state", "children", "n", "na", "wa", "q", "inv_sqrt", "untried", "expanded",
     )
 
-    def __init__(self, state: _State) -> None:
+    def __init__(self, state: JointNode) -> None:
         self.state = state
         self.children: list = []
         self.n = 0
@@ -310,14 +233,11 @@ class _Search:
     def __init__(
         self,
         cfg: RestaurantConfig,
-        caches: MctsCaches,
         exploration: float,
         max_depth: int,
         rng: random.Random,
     ) -> None:
-        self.cfg = cfg
         self.kernel = table_kernel(cfg)
-        self.states = caches.states
         self.c = exploration
         self.max_depth = max_depth
         self.rng = rng
@@ -326,59 +246,21 @@ class _Search:
             d: cfg.gamma**d for d in range(1, cfg.duration_max_nav + 1)
         }
 
-    # -- shared observable states --
-
-    def _state(self, robot: RobotState, observables: tuple[Observation, ...]) -> _State:
-        key = (robot, observables)
-        st = self.states.get(key)
-        if st is None:
-            st = self.states[key] = _State(robot, observables)
-        return st
-
-    def _actions(self, st: _State) -> tuple[Action, ...]:
-        """The state's sorted legal actions, filled on first use."""
-        if st.actions is None:
-            st.actions = sorted_legal(st.robot, st.observables, self.cfg)
-            st.edges = [None] * len(st.actions)
-        return st.actions
-
-    def _edge(self, st: _State, idx: int):
-        """The joint edge of the state's ``idx``-th action, built on first use.
-
-        The edge tuple is ``(duration, next_state, tag, table)``: tag 0 marks
-        a deterministic edge whose :class:`_LazyTable` maps a code to
-        ``(next_code, reward)``, tag 1 a serve whose outcome is sampled from
-        the target's cumulative rows.
-        """
-        action = st.actions[idx]
-        duration = action_duration(st.robot, action, self.cfg)
-        edges = tuple(
-            self.kernel.edge(obs, action, duration, st.robot, i)
-            for i, obs in enumerate(st.observables)
-        )
-        next_state = self._state(
-            next_robot(st.robot, action, self.cfg), tuple(e.next_obs for e in edges)
-        )
-        if action.kind is ActionKind.SERVE:
-            edge = (duration, next_state, 1, _LazyTable(edges, self.sat_values, action.table))
-        else:
-            edge = (duration, next_state, 0, _LazyTable(edges, self.sat_values, None))
-        st.edges[idx] = edge
-        return edge
-
     # -- simulation --
 
-    def _rollout(self, st: _State, code: int, steps: int) -> float:
+    def _rollout(self, st: JointNode, code: int, steps: int) -> float:
         value = 0.0
         discount = 1.0
         rng = self.rng
         randrange = rng.randrange
         rand = rng.random
         gamma_pow = self.gamma_pow
+        actions = self.kernel.actions
+        joint_edge = self.kernel.joint_edge
         while steps > 0 and not st.done:
-            acts = st.actions or self._actions(st)
+            acts = st.actions or actions(st)
             idx = randrange(len(acts))
-            edge = st.edges[idx] or self._edge(st, idx)
+            edge = st.edges[idx] or joint_edge(st, idx)
             if edge[2] == 0:
                 code, r = edge[3][code]
                 value += discount * r
@@ -395,7 +277,7 @@ class _Search:
         return value
 
     def _expand(self, node: _Node) -> None:
-        n = len(self._actions(node.state))
+        n = len(self.kernel.actions(node.state))
         node.children = [None] * n
         node.na = [0] * n
         node.wa = [0.0] * n
@@ -403,9 +285,10 @@ class _Search:
         node.inv_sqrt = [0.0] * n
         node.expanded = True
 
-    def run(self, root_state: _State, samplers, budget: int) -> tuple[int, _Node]:
+    def run(self, root_state: JointNode, samplers, budget: int) -> tuple[int, _Node]:
         root = _Node(root_state)
         rand = self.rng.random
+        joint_edge = self.kernel.joint_edge
         sqrt, log = math.sqrt, math.log
         c = self.c
         k_values = self.sat_values
@@ -453,7 +336,7 @@ class _Search:
                         u = q[i] + bonus * inv[i]
                         if u > best_u:
                             idx, best_u = i, u
-                edge = node.state.edges[idx] or self._edge(node.state, idx)
+                edge = node.state.edges[idx] or joint_edge(node.state, idx)
                 if edge[2] == 0:
                     code, r = edge[3][code]
                 else:
@@ -503,7 +386,6 @@ def mcts_search(
     *,
     exploration: float = DEFAULT_EXPLORATION,
     max_depth: int = 10,
-    caches: MctsCaches | None = None,
 ) -> tuple[Action, float]:
     """UCT over the belief: returns the recommended action and its value estimate.
 
@@ -512,10 +394,8 @@ def mcts_search(
     uniform-random rollout truncated at ``max_depth`` actions. Recommendation
     is by visit count; ties break by the fixed action ordering.
     """
-    if caches is None:
-        caches = MctsCaches()
     internal = random.Random(int(rng.integers(2**63)))
-    search = _Search(cfg, caches, exploration, max_depth, internal)
+    search = _Search(cfg, exploration, max_depth, internal)
     samplers: list = []
     for vec in b.satisfaction:
         support = [s for s, p in enumerate(vec) if p > 0.0]
@@ -528,7 +408,7 @@ def mcts_search(
                 acc += p
                 cum.append(acc)
             samplers.append(tuple(cum))
-    best, root = search.run(search._state(b.robot, b.observables), samplers, budget)
+    best, root = search.run(search.kernel.node(b.robot, b.observables), samplers, budget)
     action = root.state.actions[best]
     visits = root.na[best]
     value = root.wa[best] / visits if visits else 0.0
@@ -543,12 +423,8 @@ def act_mcts(
     *,
     exploration: float = DEFAULT_EXPLORATION,
     max_depth: int = 10,
-    caches: MctsCaches | None = None,
 ) -> Action:
-    return mcts_search(
-        b, cfg, budget, rng, exploration=exploration, max_depth=max_depth,
-        caches=caches,
-    )[0]
+    return mcts_search(b, cfg, budget, rng, exploration=exploration, max_depth=max_depth)[0]
 
 
 # --- Policy objects for the harness ------------------------------------------
@@ -582,7 +458,7 @@ class MctsPolicy:
     def __init__(self, cfg: RestaurantConfig, spec: PolicySpec) -> None:
         self.cfg = cfg
         self.spec = spec
-        self.caches = MctsCaches()
+        self.caches = _StoreView(cfg)
 
     def act(self, b: Belief, rng: np.random.Generator) -> Action:
         return act_mcts(
@@ -592,7 +468,6 @@ class MctsPolicy:
             rng,
             exploration=self.spec.exploration,
             max_depth=self.spec.max_depth,
-            caches=self.caches,
         )
 
 

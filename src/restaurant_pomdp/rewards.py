@@ -22,12 +22,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .config import RestaurantConfig
-from .dynamics import action_duration, tick_table, transition_distribution
+from .dynamics import tick_table, transition_distribution
 from .kernel import table_kernel
 from .model import (
     Action,
     ActionKind,
-    IllegalActionError,
     RobotState,
     TableState,
     manhattan,
@@ -110,18 +109,16 @@ def expected_reward(b: Belief, action: Action, cfg: RestaurantConfig) -> float:
     """Expected joint reward of ``action`` under the belief.
 
     Sums, over tables and satisfaction values, the probability-weighted
-    accrued rewards of every transition outcome, read from the per-table
-    edge cache of :mod:`.kernel`.
+    accrued rewards of every transition outcome, read from the joint edge of
+    :mod:`.kernel`; raises :class:`.model.IllegalActionError` on an illegal
+    action.
     """
-    kernel = table_kernel(cfg)
-    if action not in kernel.legal(b.robot, b.observables):
-        raise IllegalActionError(f"{action} is not legal in this belief state")
-    duration = action_duration(b.robot, action, cfg)
+    tables = table_kernel(cfg).step(b.robot, b.observables, action)[4]
     total = 0.0
-    for i, (obs, vec) in enumerate(zip(b.observables, b.satisfaction)):
+    for obs, vec, edge in zip(b.observables, b.satisfaction, tables):
         if obs.hand_raise == 0:
             continue
-        er = kernel.edge(obs, action, duration, b.robot, i).expected
+        er = edge.expected
         for sat, p in enumerate(vec):
             if p == 0.0:
                 continue

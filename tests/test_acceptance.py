@@ -33,7 +33,6 @@ from restaurant_pomdp.harness import paired_difference, run_batch
 from restaurant_pomdp.joint import enumerate_joint_transitions
 from restaurant_pomdp.model import fresh_table, legal_actions, serve
 from restaurant_pomdp.planners import (
-    MctsCaches,
     PolicySpec,
     mcts_search,
     value_expectimax,
@@ -183,11 +182,10 @@ def test_criterion_8_mcts_expectimax_agreement():
     cfg = scenario_small_1table()
     belief = belief_init(cfg)
     _, v_star = value_expectimax(belief, 3, cfg)
-    caches = MctsCaches()
     rel_errors = []
     for seed in range(20):
         rng = np.random.default_rng(800 + seed)
-        _, v = mcts_search(belief, cfg, 100_000, rng, max_depth=3, caches=caches)
+        _, v = mcts_search(belief, cfg, 100_000, rng, max_depth=3)
         rel_errors.append(abs(v - v_star) / abs(v_star))
     median_err = statistics.median(rel_errors)
     assert median_err < 0.05

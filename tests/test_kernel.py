@@ -1,35 +1,42 @@
-"""The per-table edge cache against the model it is compiled from.
+"""The kernel's table edges and joint nodes against the model they come from.
 
 Every cached edge must equal :func:`table_transition_outcomes` exactly
 (``==``, not approximately), because greedy breaks exact ties between
-actions and traces must stay byte-identical.
+actions and traces must stay byte-identical. Every joint edge must be
+composed of those very table edges.
 """
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from restaurant_pomdp import rewards
 from restaurant_pomdp.checks import reachable_joint_states
 from restaurant_pomdp.config import RewardParams
-from restaurant_pomdp.dynamics import action_duration
+from restaurant_pomdp.belief import belief_init, belief_predict
+from restaurant_pomdp.dynamics import action_duration, next_robot
 from restaurant_pomdp.harness import replay_actions, run_episode
+from restaurant_pomdp.joint import step_joint
 from restaurant_pomdp.kernel import table_kernel
 from restaurant_pomdp.model import (
     NOOP,
+    IllegalActionError,
     JointState,
     ModelInvariantError,
     RobotState,
     action_sort_key,
     fresh_table,
     go_to,
+    initial_joint_state,
     legal_actions,
     observe,
+    serve,
     table_from_observation,
 )
 from restaurant_pomdp.planners import PolicySpec, make_policy
-from restaurant_pomdp.rewards import table_transition_outcomes
+from restaurant_pomdp.rewards import expected_reward, table_transition_outcomes
 
 from .strategies import random_walk_states, small_configs
 
@@ -84,6 +91,51 @@ def test_edges_match_model_on_small_configs(cfg, seed):
     assert assert_all_legal_edges_match(cfg, states) > 0
 
 
+def assert_joint_edges_compose_table_edges(cfg, states) -> int:
+    """Each legal action's joint edge: its duration, next robot and the very table edges."""
+    kernel = table_kernel(cfg)
+    checked = 0
+    for js in states:
+        observables = tuple(observe(ts) for ts in js.tables)
+        node = kernel.node(js.robot, observables)
+        assert kernel.actions(node) == tuple(sorted(legal_actions(js, cfg), key=action_sort_key))
+        for action in node.actions:
+            duration, nxt, _, _, tables = kernel.step(js.robot, observables, action)
+            assert duration == action_duration(js.robot, action, cfg)
+            assert nxt.robot == next_robot(js.robot, action, cfg)
+            assert nxt.observables == tuple(e.next_obs for e in tables)
+            for i, obs in enumerate(observables):
+                assert tables[i] is kernel.edge(obs, action, duration, js.robot, i)
+            checked += 1
+    return checked
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=small_configs(), seed=st.integers(0, 2**16))
+def test_joint_edges_compose_table_edges_on_small_configs(cfg, seed):
+    states = random_walk_states(cfg, 12, seed)
+    assert assert_joint_edges_compose_table_edges(cfg, states) > 0
+
+
+@pytest.mark.parametrize("scenario", ["two-tables", "paper-3tables"])
+def test_joint_edges_compose_table_edges_on_seeded_states(scenario, request):
+    cfg = request.getfixturevalue({"two-tables": "two_cfg", "paper-3tables": "paper_cfg"}[scenario])
+    states = random_walk_states(cfg, 150, seed=41)
+    assert assert_joint_edges_compose_table_edges(cfg, states) > 150
+
+
+def test_every_joint_step_rejects_an_illegal_action(two_cfg):
+    js = initial_joint_state(two_cfg, np.random.default_rng(0))
+    b = belief_init(two_cfg)
+    assert js.robot == b.robot and serve(0) not in legal_actions(js, two_cfg)
+    with pytest.raises(IllegalActionError):
+        expected_reward(b, serve(0), two_cfg)
+    with pytest.raises(IllegalActionError):
+        belief_predict(b, serve(0), two_cfg)
+    with pytest.raises(IllegalActionError):
+        step_joint(js, serve(0), two_cfg, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize(
     "change",
     [
@@ -121,7 +173,7 @@ def test_make_policy_fills_nothing(two_cfg):
     for kind in ("random", "fcfs", "greedy", "mcts", "expectimax"):
         make_policy(PolicySpec(kind), cfg)
     kernel = table_kernel(cfg)
-    assert not kernel.edges and not kernel.legal_sets
+    assert not kernel.edges and not kernel.nodes
 
 
 def test_fill_rejects_an_observation_that_depends_on_satisfaction(two_cfg, monkeypatch):

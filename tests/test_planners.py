@@ -19,7 +19,6 @@ from restaurant_pomdp.model import (
     serve,
 )
 from restaurant_pomdp.planners import (
-    MctsCaches,
     PolicySpec,
     act_fcfs,
     act_greedy,
@@ -310,29 +309,57 @@ def test_mcts_depth_one_matches_greedy_argmax(paper_cfg):
 
 
 def test_mcts_reads_table_edges_only_from_the_kernel(two_cfg):
-    """The search keeps one store: its states, built on the kernel's own edges."""
-    caches = MctsCaches()
-    mcts_search(belief_init(two_cfg), two_cfg, 200, np.random.default_rng(0), caches=caches)
+    """The search walks the kernel's nodes, whose edges hold the kernel's own table edges."""
+    policy = make_policy(PolicySpec(kind="mcts"), two_cfg)
+    mcts_search(belief_init(two_cfg), two_cfg, 200, np.random.default_rng(0))
+    caches = policy.caches
     assert len(caches.joint_edges) > 0
     assert len(caches.table_edges) > 0
     assert len(caches.legal) > 0
-    kernel_edges = {id(e) for e in table_kernel(two_cfg).edges.values()}
+    kernel = table_kernel(two_cfg)
+    kernel_edges = {id(e) for e in kernel.edges.values()}
     assert all(id(e) in kernel_edges for e in caches.table_edges)
-    states = {id(st) for st in caches.states.values()}
-    assert all(id(edge[1]) in states for edge in caches.joint_edges.values())
+    nodes = {id(node) for node in kernel.nodes.values()}
+    assert all(id(edge[1]) in nodes for edge in caches.joint_edges.values())
+
+
+def test_mcts_is_independent_of_the_store(two_cfg, monkeypatch):
+    """Cold, warm, and emptied mid-search: the same action and the same value bits."""
+    from restaurant_pomdp import kernel as kernel_module
+
+    class CountingDict(dict):
+        clears = 0
+
+        def clear(self):
+            self.clears += 1
+            super().clear()
+
+    cfg = dataclasses.replace(two_cfg, horizon=23)  # a config no other test uses
+    b = belief_init(cfg)
+    kernel = table_kernel(cfg)
+    assert not kernel.nodes
+    cold = mcts_search(b, cfg, 300, np.random.default_rng(3))
+    grown = len(kernel.nodes)
+    warm = mcts_search(b, cfg, 300, np.random.default_rng(3))
+    assert len(kernel.nodes) == grown
+    kernel.nodes = CountingDict()
+    monkeypatch.setattr(kernel_module, "NODE_LIMIT", grown // 4)
+    limited = mcts_search(b, cfg, 300, np.random.default_rng(3))
+    assert kernel.nodes.clears >= 1
+    assert cold[0] == warm[0] == limited[0]
+    assert cold[1].hex() == warm[1].hex() == limited[1].hex()
 
 
 def test_mcts_error_decreases_with_budget(small_cfg):
     """Median gap to the exact depth-3 value shrinks across budgets."""
     b = belief_init(small_cfg)
     _, v_star = value_expectimax(b, 3, small_cfg)
-    caches = MctsCaches()
     medians = []
     for budget in (100, 1000, 10_000):
         errs = []
         for seed in range(20):
             rng = np.random.default_rng(1000 + seed)
-            _, v = mcts_search(b, small_cfg, budget, rng, max_depth=3, caches=caches)
+            _, v = mcts_search(b, small_cfg, budget, rng, max_depth=3)
             errs.append(abs(v - v_star))
         medians.append(statistics.median(errs))
     assert medians[0] > medians[1] > medians[2]
@@ -360,13 +387,9 @@ def test_mcts_runs_on_large_joint_satisfaction_space():
 def test_mcts_value_close_to_expectimax(small_cfg):
     b = belief_init(small_cfg)
     _, v_star = value_expectimax(b, 3, small_cfg)
-    caches = MctsCaches()
     rels = []
     for seed in range(5):
-        _, v = mcts_search(
-            b, small_cfg, 20_000, np.random.default_rng(seed), max_depth=3,
-            caches=caches,
-        )
+        _, v = mcts_search(b, small_cfg, 20_000, np.random.default_rng(seed), max_depth=3)
         rels.append(abs(v - v_star) / abs(v_star))
     assert statistics.median(rels) < 0.05
 
