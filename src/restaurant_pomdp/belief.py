@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import ConfigError, RestaurantConfig
-from .kernel import table_kernel
+from .kernel import TableEdge, table_kernel
 from .model import (
     Action,
     ModelInvariantError,
@@ -62,15 +62,37 @@ def belief_predict(b: Belief, action: Action, cfg: RestaurantConfig) -> tuple[Be
     """Push the belief through the action's dynamics; returns (belief, duration).
 
     Reads the action's joint edge from :mod:`.kernel`, which raises
-    :class:`.model.IllegalActionError` on an illegal action. Each table's
-    satisfaction vector is propagated through the satisfaction rows of its
-    table edge; the observable part advances deterministically and
-    identically for every satisfaction value, which the kernel checks when
-    it fills an edge, so the next observables are the next node's.
+    :class:`.model.IllegalActionError` on an illegal action, and propagates
+    the satisfaction vectors with :func:`edge_predict`. The observable part
+    advances deterministically and identically for every satisfaction value,
+    which the kernel checks when it fills an edge, so the next observables
+    are the next node's.
     """
     duration, nxt, _, _, tables = table_kernel(cfg).step(b.robot, b.observables, action)
+    return (
+        Belief(
+            robot=nxt.robot,
+            observables=nxt.observables,
+            satisfaction=edge_predict(b.observables, b.satisfaction, tables),
+        ),
+        duration,
+    )
+
+
+def edge_predict(
+    observables: tuple[Observation, ...],
+    satisfaction: tuple[tuple[float, ...], ...],
+    tables: tuple[TableEdge, ...],
+) -> tuple[tuple[float, ...], ...]:
+    """Per-table satisfaction vectors after one joint edge.
+
+    Each active table's vector is propagated through the satisfaction rows of
+    its table edge in ``tables`` (a joint edge's last field); a departed
+    table's vector is kept as it is. An active table whose vector has no mass
+    raises :class:`.model.ModelInvariantError`.
+    """
     new_vecs: list[tuple[float, ...]] = []
-    for i, (obs, vec, edge) in enumerate(zip(b.observables, b.satisfaction, tables)):
+    for i, (obs, vec, edge) in enumerate(zip(observables, satisfaction, tables)):
         if obs.hand_raise == 0:
             new_vecs.append(vec)
             continue
@@ -86,10 +108,7 @@ def belief_predict(b: Belief, action: Action, cfg: RestaurantConfig) -> tuple[Be
         if not has_mass:
             raise ModelInvariantError(f"table {i}: belief vector has no mass")
         new_vecs.append(tuple(out))
-    return (
-        Belief(robot=nxt.robot, observables=nxt.observables, satisfaction=tuple(new_vecs)),
-        duration,
-    )
+    return tuple(new_vecs)
 
 
 def belief_step(

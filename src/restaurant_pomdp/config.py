@@ -90,7 +90,8 @@ def validate_config(cfg: RestaurantConfig) -> RestaurantConfig:
 
     Raises :class:`ConfigError` on violations (positions off-grid, duplicate
     tables, unnormalized prior, ...). The returned config always carries
-    concrete ``time_max``, ``initial_satisfaction`` and ``satisfaction_prior``.
+    concrete ``time_max``, ``initial_satisfaction`` and ``satisfaction_prior``;
+    it is ``cfg`` itself when ``cfg`` is already valid.
     """
     n = _require_int("n_tables", cfg.n_tables)
     if n < 1:
@@ -163,7 +164,7 @@ def validate_config(cfg: RestaurantConfig) -> RestaurantConfig:
 
     reward = _validate_reward(cfg.reward)
 
-    return replace(
+    out = replace(
         cfg,
         n_tables=n,
         table_positions=positions,
@@ -173,6 +174,10 @@ def validate_config(cfg: RestaurantConfig) -> RestaurantConfig:
         satisfaction_prior=prior,
         reward=reward,
     )
+    # A valid config comes back as the same object, so the per-config stores
+    # of kernel.table_kernel find it by id. repr, unlike ==, tells an int
+    # from a float and a list from a tuple.
+    return cfg if repr(out) == repr(cfg) else out
 
 
 # --- JSON round-trip ---------------------------------------------------------

@@ -21,13 +21,16 @@ Table edges compose into one graph of observable joint states. A
 :class:`JointNode` is keyed by ``(robot, observables)`` and holds its sorted
 legal actions and, per action, a joint edge made of the tables' edges (see
 :meth:`TableKernel.joint_edge`), each filled on first use. The expected
-reward, the filter, the simulator and every planner (greedy, UCT and
-expectimax) step through these nodes; the oracles in :mod:`.checks`,
+reward, the filter and the simulator step through these nodes with
+:meth:`TableKernel.step`, one node lookup plus one edge read; the planners
+(greedy, UCT and expectimax) look up their root node once and follow edges
+by pointer from there. The oracles in :mod:`.checks`,
 ``checks.expected_reward_by_enumeration`` among them, and
-``joint.enumerate_joint_transitions`` do not.
+``joint.enumerate_joint_transitions`` do not read the store.
 
-Stores are keyed by config value: ``validate_config`` returns a fresh but
-equal config on every call, and equal configs share one store.
+Stores are keyed by config value, so equal configs share one store; a
+config object seen before is found by its id, as ``validate_config`` returns
+a valid config unchanged.
 """
 
 from __future__ import annotations

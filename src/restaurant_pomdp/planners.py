@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import Belief, belief_predict, table_from_observation
+from .belief import Belief, edge_predict, table_from_observation
 from .config import ConfigError, RestaurantConfig
 from .kernel import JointNode, TableEdge, table_kernel
 from .model import (
@@ -24,7 +24,7 @@ from .model import (
     serve,
     serve_blocked,
 )
-from .rewards import expected_reward
+from .rewards import edge_expected_reward
 
 POLICY_KINDS = ("random", "fcfs", "greedy", "mcts", "expectimax")
 
@@ -111,12 +111,20 @@ def act_fcfs(b: Belief, cfg: RestaurantConfig) -> Action:
 
 
 def act_greedy(b: Belief, cfg: RestaurantConfig) -> Action:
-    """Myopic argmax of one-step expected reward under the belief."""
-    acts = sorted_legal_actions(b, cfg)
+    """Myopic argmax of one-step expected reward under the belief.
+
+    Scans the kernel node's joint edges in the fixed action order; the first
+    strict maximum wins.
+    """
+    kernel = table_kernel(cfg)
+    node = kernel.node(b.robot, b.observables)
+    acts = node.actions or kernel.actions(node)
+    edges = node.edges
     best_action = acts[0]
     best_value = -math.inf
-    for a in acts:
-        value = expected_reward(b, a, cfg)
+    for idx, a in enumerate(acts):
+        tables = (edges[idx] or kernel.joint_edge(node, idx))[4]
+        value = edge_expected_reward(b.observables, b.satisfaction, tables)
         if value > best_value:
             best_action, best_value = a, value
     return best_action
@@ -132,34 +140,45 @@ def value_expectimax(
 
     ``value(b, d) = max_a [E(reward) + gamma^duration * value(b', d-1)]`` with
     terminal value zero. The belief transition is deterministic here because
-    observations never disambiguate satisfaction. Both terms read the table
-    edges of :mod:`.kernel`: ``E(reward)`` is :func:`.rewards.expected_reward`,
-    the sum greedy maximizes, and ``b'`` is :func:`.belief.belief_predict`, so
-    a node costs one pass over the tables rather than an enumeration of joint
-    satisfaction assignments. Returns the optimal root action (``None`` at
-    depth 0 or when every table is done) and the value.
+    observations never disambiguate satisfaction, so a belief is a node of
+    the kernel's joint-state graph plus its satisfaction vectors. The
+    recursion looks up the root node once and then follows each action's
+    joint edge to the next node: ``E(reward)`` is the edge's
+    :func:`.rewards.edge_expected_reward`, the sum greedy maximizes, and the
+    next vectors are its :func:`.belief.edge_predict`, the propagation of
+    :func:`.belief.belief_predict`. Returns the optimal root action (``None``
+    at depth 0 or when every table is done) and the value.
     """
-    memo: dict[tuple[Belief, int], tuple[Action | None, float]] = {}
+    kernel = table_kernel(cfg)
+    actions = kernel.actions
+    joint_edge = kernel.joint_edge
+    gamma = cfg.gamma
+    memo: dict[tuple[JointNode, tuple, int], tuple[Action | None, float]] = {}
 
-    def rec(belief: Belief, remaining: int) -> tuple[Action | None, float]:
-        if remaining == 0 or all(o.hand_raise == 0 for o in belief.observables):
+    def rec(node: JointNode, sat: tuple, remaining: int) -> tuple[Action | None, float]:
+        if remaining == 0 or node.done:
             return (None, 0.0)
-        key = (belief, remaining)
+        key = (node, sat, remaining)
         cached = memo.get(key)
         if cached is not None:
             return cached
+        observables = node.observables
+        acts = node.actions or actions(node)
+        edges = node.edges
         best_action: Action | None = None
         best_value = -math.inf
-        for a in sorted_legal_actions(belief, cfg):
-            er = expected_reward(belief, a, cfg)
-            nb, duration = belief_predict(belief, a, cfg)
-            value = er + cfg.gamma**duration * rec(nb, remaining - 1)[1]
+        for idx, a in enumerate(acts):
+            edge = edges[idx] or joint_edge(node, idx)
+            tables = edge[4]
+            er = edge_expected_reward(observables, sat, tables)
+            next_sat = edge_predict(observables, sat, tables)
+            value = er + gamma ** edge[0] * rec(edge[1], next_sat, remaining - 1)[1]
             if value > best_value:
                 best_action, best_value = a, value
         memo[key] = (best_action, best_value)
         return (best_action, best_value)
 
-    return rec(b, depth)
+    return rec(kernel.node(b.robot, b.observables), b.satisfaction, depth)
 
 
 # --- Monte-Carlo tree search -------------------------------------------------

@@ -23,10 +23,11 @@ from typing import TYPE_CHECKING
 
 from .config import RestaurantConfig
 from .dynamics import tick_table, transition_distribution
-from .kernel import table_kernel
+from .kernel import TableEdge, table_kernel
 from .model import (
     Action,
     ActionKind,
+    Observation,
     RobotState,
     TableState,
     manhattan,
@@ -108,14 +109,27 @@ def table_transition_outcomes(
 def expected_reward(b: Belief, action: Action, cfg: RestaurantConfig) -> float:
     """Expected joint reward of ``action`` under the belief.
 
-    Sums, over tables and satisfaction values, the probability-weighted
-    accrued rewards of every transition outcome, read from the joint edge of
-    :mod:`.kernel`; raises :class:`.model.IllegalActionError` on an illegal
-    action.
+    Reads the action's joint edge from :mod:`.kernel`, which raises
+    :class:`.model.IllegalActionError` on an illegal action, and sums it with
+    :func:`edge_expected_reward`.
     """
     tables = table_kernel(cfg).step(b.robot, b.observables, action)[4]
+    return edge_expected_reward(b.observables, b.satisfaction, tables)
+
+
+def edge_expected_reward(
+    observables: tuple[Observation, ...],
+    satisfaction: tuple[tuple[float, ...], ...],
+    tables: tuple[TableEdge, ...],
+) -> float:
+    """Expected reward of one joint edge under per-table satisfaction vectors.
+
+    Sums, over tables and satisfaction values, the probability-weighted
+    accrued rewards of every transition outcome of the tables' edges
+    ``tables`` (a joint edge's last field); departed tables add nothing.
+    """
     total = 0.0
-    for obs, vec, edge in zip(b.observables, b.satisfaction, tables):
+    for obs, vec, edge in zip(observables, satisfaction, tables):
         if obs.hand_raise == 0:
             continue
         er = edge.expected

@@ -160,3 +160,27 @@ def test_validate_is_idempotent():
     cfg = validate_config(base_cfg())
     assert validate_config(cfg) == cfg
     assert dataclasses.replace(cfg) == cfg
+
+
+def test_validate_returns_a_valid_config_itself():
+    for name, build in SCENARIOS.items():
+        cfg = build()
+        assert validate_config(cfg) is cfg, name
+    raw = base_cfg()
+    cfg = validate_config(raw)
+    assert cfg is not raw
+    assert (cfg.time_max, cfg.initial_satisfaction) == (15, 5)
+    assert cfg.satisfaction_prior == (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+
+
+def test_validate_converts_values_that_only_compare_equal():
+    """An int prior or penalty base equals its float form, and is still converted."""
+    cfg = validate_config(base_cfg())
+    for loose in (
+        dataclasses.replace(cfg, satisfaction_prior=(0, 0, 0, 0, 0, 1)),
+        dataclasses.replace(cfg, reward=RewardParams(penalty_bases=(2, 1.7, 1.4))),
+    ):
+        assert loose == cfg
+        out = validate_config(loose)
+        assert out is not loose
+        assert repr(out) == repr(cfg)

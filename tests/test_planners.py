@@ -1,15 +1,19 @@
 import dataclasses
+import math
 import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from restaurant_pomdp.belief import Belief, belief_init, observe
-from restaurant_pomdp.config import ConfigError, validate_config
+from restaurant_pomdp.belief import Belief, belief_init, belief_predict, observe
+from restaurant_pomdp.config import SCENARIOS, ConfigError, validate_config
+from restaurant_pomdp.harness import run_episode
 from restaurant_pomdp.kernel import table_kernel
 from restaurant_pomdp.model import (
     ActionKind,
     JointState,
+    ModelInvariantError,
     NOOP,
     action_sort_key,
     all_done,
@@ -33,7 +37,7 @@ from restaurant_pomdp.planners import (
 )
 from restaurant_pomdp.rewards import expected_reward
 
-from .strategies import random_walk_states
+from .strategies import random_walk_states, small_configs
 
 
 def belief_from_state(js: JointState, cfg) -> Belief:
@@ -64,6 +68,50 @@ def waiting_belief(cfg, waits, requests=None, cookings=None, robot=None) -> Beli
         observables=tuple(obs),
         satisfaction=base.satisfaction,
     )
+
+
+def reference_expectimax(b: Belief, depth: int, cfg) -> tuple:
+    """The belief-level recursion: each (belief, action) pair is scored with
+    ``expected_reward`` and stepped with ``belief_predict``, unmemoized."""
+    if depth == 0 or all(o.hand_raise == 0 for o in b.observables):
+        return (None, 0.0)
+    best_action, best_value = None, -math.inf
+    for a in sorted_legal_actions(b, cfg):
+        er = expected_reward(b, a, cfg)
+        nb, duration = belief_predict(b, a, cfg)
+        value = er + cfg.gamma**duration * reference_expectimax(nb, depth - 1, cfg)[1]
+        if value > best_value:
+            best_action, best_value = a, value
+    return (best_action, best_value)
+
+
+def reference_greedy(b: Belief, cfg):
+    """First strict argmax of ``expected_reward`` in the fixed action order."""
+    best_action, best_value = None, -math.inf
+    for a in sorted_legal_actions(b, cfg):
+        value = expected_reward(b, a, cfg)
+        if value > best_value:
+            best_action, best_value = a, value
+    return best_action
+
+
+class RecordingPolicy:
+    """Plays ``spec`` and keeps every belief it is asked to act on."""
+
+    def __init__(self, spec: PolicySpec, cfg) -> None:
+        self.policy = make_policy(spec, cfg)
+        self.beliefs: list[Belief] = []
+
+    def act(self, b, rng):
+        self.beliefs.append(b)
+        return self.policy.act(b, rng)
+
+
+def episode_beliefs(cfg, kind: str, seeds) -> list[Belief]:
+    recorder = RecordingPolicy(PolicySpec(kind=kind), cfg)
+    for seed in seeds:
+        run_episode(recorder, cfg, seed)
+    return recorder.beliefs
 
 
 # --- policy spec -----------------------------------------------------------------
@@ -216,14 +264,7 @@ def test_greedy_argmax_invariant_to_positive_scaling(two_cfg):
 
 def test_greedy_matches_manual_argmax_with_tie_ordering(two_cfg):
     b = waiting_belief(two_cfg, [5, 2])
-    acts = sorted_legal_actions(b, two_cfg)
-    best = None
-    best_v = float("-inf")
-    for a in acts:
-        v = expected_reward(b, a, two_cfg)
-        if v > best_v:
-            best, best_v = a, v
-    assert act_greedy(b, two_cfg) == best
+    assert act_greedy(b, two_cfg) == reference_greedy(b, two_cfg)
 
 
 # --- expectimax --------------------------------------------------------------------
@@ -266,6 +307,68 @@ def test_expectimax_value_nondecreasing_with_optional_waiting(small_cfg):
     v3 = value_expectimax(b, 3, small_cfg)[1]
     assert v2 >= v1 - 1e-9
     assert v3 >= v2 - 1e-9
+
+
+@pytest.mark.parametrize(
+    "scenario, max_depth, n_beliefs",
+    [("small-1table", 3, None), ("two-tables", 3, None), ("paper-3tables", 2, 40)],
+)
+@pytest.mark.parametrize("kind", ["greedy", "random"])
+def test_expectimax_and_greedy_equal_the_belief_recursion(scenario, max_depth, n_beliefs, kind):
+    """Walking the kernel's nodes gives the belief-level algorithm's exact results."""
+    cfg = SCENARIOS[scenario]()
+    beliefs = episode_beliefs(cfg, kind, range(2))[:n_beliefs]
+    assert beliefs
+    for b in beliefs:
+        assert act_greedy(b, cfg) == reference_greedy(b, cfg)
+        for depth in range(1, max_depth + 1):
+            action, value = value_expectimax(b, depth, cfg)
+            ref_action, ref_value = reference_expectimax(b, depth, cfg)
+            assert action == ref_action
+            assert value == ref_value
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=small_configs(), seed=st.integers(0, 2**16))
+def test_expectimax_and_greedy_equal_the_belief_recursion_on_small_configs(cfg, seed):
+    for b in episode_beliefs(cfg, "random", [seed])[:8]:
+        assert act_greedy(b, cfg) == reference_greedy(b, cfg)
+        for depth in (1, 2, 3):
+            assert value_expectimax(b, depth, cfg) == reference_expectimax(b, depth, cfg)
+
+
+def test_expectimax_and_greedy_are_independent_of_the_store(two_cfg, monkeypatch):
+    """Emptying the node store mid-decision changes no action and no value bit."""
+    from restaurant_pomdp import kernel as kernel_module
+
+    class CountingDict(dict):
+        clears = 0
+
+        def clear(self):
+            self.clears += 1
+            super().clear()
+
+    cfg = dataclasses.replace(two_cfg, horizon=29)  # a config no other test uses
+    beliefs = episode_beliefs(two_cfg, "greedy", [0])[:10]
+    kernel = table_kernel(cfg)
+    assert not kernel.nodes
+    cold = [(value_expectimax(b, 3, cfg), act_greedy(b, cfg)) for b in beliefs]
+    grown = len(kernel.nodes)
+    kernel.nodes = CountingDict()
+    monkeypatch.setattr(kernel_module, "NODE_LIMIT", 3)
+    limited = [(value_expectimax(b, 3, cfg), act_greedy(b, cfg)) for b in beliefs]
+    assert kernel.nodes.clears >= grown // 3
+    for ((a, v), g), ((la, lv), lg) in zip(cold, limited):
+        assert (a, g) == (la, lg)
+        assert v.hex() == lv.hex()
+
+
+def test_expectimax_rejects_a_massless_belief(two_cfg):
+    base = belief_init(two_cfg)
+    massless = tuple(0.0 for _ in base.satisfaction[1])
+    b = Belief(base.robot, base.observables, (base.satisfaction[0], massless))
+    with pytest.raises(ModelInvariantError, match="no mass"):
+        value_expectimax(b, 1, two_cfg)
 
 
 # --- mcts -------------------------------------------------------------------------
