@@ -120,23 +120,37 @@ def belief_step(
 ) -> Belief:
     """Exact filter step: predict through the dynamics, then condition on ``z``.
 
-    The observation likelihood is an indicator on the observable variables and
-    is constant in satisfaction, so conditioning must leave the satisfaction
-    marginal untouched; a vector that no longer sums to one raises
-    :class:`.model.ModelInvariantError` rather than being renormalized.
+    Predicts with :func:`belief_predict` (one node lookup), checks that
+    ``duration`` is the action's, then applies :func:`condition`.
+    ``harness.run_episode`` runs the same step on the joint edge it already
+    holds, as :func:`edge_predict` followed by :func:`condition`.
     """
     predicted, d = belief_predict(b, action, cfg)
     if duration != d:
         raise ValueError(f"duration {duration} does not match action duration {d}")
-    if len(z) != len(predicted.observables):
-        raise ObservationMismatchError(
-            f"expected {len(predicted.observables)} observations, got {len(z)}"
-        )
-    for i, (zi, oi) in enumerate(zip(z, predicted.observables)):
-        if zi != oi:
+    return condition(predicted, z)
+
+
+def condition(predicted: Belief, z: tuple[Observation, ...]) -> Belief:
+    """Condition a predicted belief on the observations ``z``.
+
+    ``z`` must equal the predicted observables, or
+    :class:`ObservationMismatchError` is raised. The observation likelihood is
+    an indicator on the observable variables and is constant in
+    satisfaction, so conditioning must leave the satisfaction marginal
+    untouched; a vector that no longer sums to one raises
+    :class:`.model.ModelInvariantError` rather than being renormalized.
+    """
+    if z != predicted.observables:
+        if len(z) != len(predicted.observables):
             raise ObservationMismatchError(
-                f"table {i}: observed {zi}, predicted {oi}"
+                f"expected {len(predicted.observables)} observations, got {len(z)}"
             )
+        for i, (zi, oi) in enumerate(zip(z, predicted.observables)):
+            if zi != oi:
+                raise ObservationMismatchError(
+                    f"table {i}: observed {zi}, predicted {oi}"
+                )
     # Conditioning on a satisfaction-independent likelihood is the identity.
     for i, vec in enumerate(predicted.satisfaction):
         total = sum(vec)

@@ -13,14 +13,22 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .belief import Observation, belief_init, belief_step
+from .belief import (
+    Belief,
+    Observation,
+    ObservationMismatchError,
+    belief_init,
+    condition,
+    edge_predict,
+)
 from .config import RestaurantConfig, config_to_dict, validate_config
-from .joint import step_joint
-from .model import Action, ActionKind, JointState, all_done, initial_joint_state
+from .joint import edge_sample, step_joint
+from .kernel import table_kernel
+from .model import Action, ActionKind, JointState, initial_joint_state, observe
 from .planners import PolicySpec, make_policy
 
 TRACE_SCHEMA_VERSION = 1
@@ -88,6 +96,14 @@ def run_episode(policy, cfg: RestaurantConfig, seed: int) -> EpisodeTrace:
 
     ``policy`` is either a :class:`PolicySpec` or an object with an
     ``act(belief, rng) -> Action`` method.
+
+    The loop keeps its place in the kernel's joint-state graph: each step
+    follows the action's joint edge from the current node (raising
+    :class:`.model.IllegalActionError` on an illegal action), and the
+    simulator (:func:`.joint.edge_sample`) and the filter
+    (:func:`.belief.edge_predict`, then :func:`.belief.condition`) both read
+    that edge. The states and beliefs are those of :func:`.joint.step_joint`
+    and :func:`.belief.belief_step`, draw for draw.
     """
     cfg = validate_config(cfg)
     if isinstance(policy, PolicySpec):
@@ -95,29 +111,42 @@ def run_episode(policy, cfg: RestaurantConfig, seed: int) -> EpisodeTrace:
         policy = make_policy(policy, cfg)
     else:
         label = _policy_label(policy)
+    kernel = table_kernel(cfg)
     init_rng, dyn_rng, pol_rng = seed_streams(seed)
     js = initial_joint_state(cfg, init_rng)
-    initial_sats = tuple(ts.satisfaction for ts in js.tables)
+    initial_sats = sats = tuple(ts.satisfaction for ts in js.tables)
+    node = kernel.node(js.robot, tuple(observe(ts) for ts in js.tables))
     belief = belief_init(cfg)
+    if belief.robot != node.robot or belief.observables != node.observables:
+        raise ObservationMismatchError(
+            f"initial belief ({belief.robot}, {belief.observables}) does not match "
+            f"the initial state ({node.robot}, {node.observables})"
+        )
+    # The belief's observables stay the node's: both follow the same edge.
     steps: list[StepRecord] = []
+    clock = js.clock
     ret = 0.0
-    while js.clock < cfg.horizon and not all_done(js):
+    while clock < cfg.horizon and not node.done:
         action = policy.act(belief, pol_rng)
-        result = step_joint(js, action, cfg, dyn_rng)
-        belief = belief_step(belief, action, result.duration, result.obs, cfg)
-        ret += cfg.gamma**js.clock * result.reward
-        js = result.next
+        duration, nxt, _, _, tables = kernel.follow(node, action)
+        sats, table_rewards = edge_sample(tables, sats, dyn_rng)
+        reward = math.fsum(table_rewards)
+        predicted = edge_predict(node.observables, belief.satisfaction, tables)
+        belief = condition(Belief(nxt.robot, nxt.observables, predicted), nxt.observables)
+        ret += cfg.gamma**clock * reward
+        clock += duration
+        node = nxt
         steps.append(
             StepRecord(
                 index=len(steps),
-                clock=js.clock,
+                clock=clock,
                 action=action,
-                duration=result.duration,
-                observations=result.obs,
-                satisfactions=tuple(ts.satisfaction for ts in js.tables),
+                duration=duration,
+                observations=nxt.observables,
+                satisfactions=sats,
                 belief=belief.satisfaction,
-                table_rewards=result.table_rewards,
-                reward=result.reward,
+                table_rewards=table_rewards,
+                reward=reward,
                 discounted_return=ret,
             )
         )
@@ -260,6 +289,10 @@ def _action_from_doc(doc: dict) -> Action:
     return Action(ActionKind(doc["kind"]), doc.get("table"))
 
 
+# Read field by field: ``dataclasses.asdict`` recurses and deep-copies.
+_OBSERVATION_FIELDS = tuple(f.name for f in fields(Observation))
+
+
 def _dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -282,7 +315,10 @@ def write_trace_jsonl(trace: EpisodeTrace, path: str) -> None:
             "clock": step.clock,
             "action": _action_to_doc(step.action),
             "duration": step.duration,
-            "observations": [asdict(o) for o in step.observations],
+            "observations": [
+                {name: getattr(o, name) for name in _OBSERVATION_FIELDS}
+                for o in step.observations
+            ],
             "satisfactions": list(step.satisfactions),
             "belief": [list(v) for v in step.belief],
             "table_rewards": list(step.table_rewards),

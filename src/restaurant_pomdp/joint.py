@@ -17,13 +17,12 @@ import numpy as np
 
 from .config import RestaurantConfig
 from .dynamics import action_duration, next_robot
-from .kernel import table_kernel
+from .kernel import TableEdge, table_kernel
 from .model import (
     Action,
     IllegalActionError,
     JointState,
     Observation,
-    TableState,
     legal_actions,
     observe,
     sample_outcome,
@@ -57,25 +56,43 @@ def step_joint(
 ) -> JointStepResult:
     """Execute one action on the joint state, sampling the serve outcome.
 
-    Each table advances along its edge in the action's joint edge (see
-    :mod:`.kernel`); the robot and observations are the next node's.
+    Observes the tables, reads the action's joint edge from :mod:`.kernel`
+    (one node lookup, which raises :class:`.model.IllegalActionError` on an
+    illegal action) and samples it with :func:`edge_sample`; the robot and
+    observations are the next node's. ``harness.run_episode`` runs the same
+    step on a node it already holds, without the lookup or the states.
     """
     observables = tuple(observe(ts) for ts in js.tables)
     duration, nxt, _, _, edges = table_kernel(cfg).step(js.robot, observables, action)
-    tables: list[TableState] = []
-    rewards: list[float] = []
-    for ts, edge, obs in zip(js.tables, edges, nxt.observables):
-        ns, _, r = sample_outcome(edge.rows[ts.satisfaction], rng)
-        tables.append(table_from_observation(obs, ns))
-        rewards.append(r)
-    next_js = JointState(robot=nxt.robot, tables=tuple(tables), clock=js.clock + duration)
+    sats, rewards = edge_sample(edges, tuple(ts.satisfaction for ts in js.tables), rng)
+    tables = tuple(table_from_observation(o, s) for o, s in zip(nxt.observables, sats))
     return JointStepResult(
-        next=next_js,
+        next=JointState(robot=nxt.robot, tables=tables, clock=js.clock + duration),
         obs=nxt.observables,
         reward=float(math.fsum(rewards)),
         duration=duration,
-        table_rewards=tuple(rewards),
+        table_rewards=rewards,
     )
+
+
+def edge_sample(
+    tables: tuple[TableEdge, ...],
+    satisfactions: tuple[int, ...],
+    rng: np.random.Generator,
+) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Next satisfactions and per-table rewards along one joint edge.
+
+    Each table draws its outcome from the rows of its table edge in
+    ``tables`` (a joint edge's last field) at its satisfaction, in table
+    order; only a table with more than one row consumes a draw from ``rng``.
+    """
+    sats: list[int] = []
+    rewards: list[float] = []
+    for edge, sat in zip(tables, satisfactions):
+        ns, _, r = sample_outcome(edge.rows[sat], rng)
+        sats.append(ns)
+        rewards.append(r)
+    return tuple(sats), tuple(rewards)
 
 
 def enumerate_joint_transitions(

@@ -21,10 +21,13 @@ Table edges compose into one graph of observable joint states. A
 :class:`JointNode` is keyed by ``(robot, observables)`` and holds its sorted
 legal actions and, per action, a joint edge made of the tables' edges (see
 :meth:`TableKernel.joint_edge`), each filled on first use. The expected
-reward, the filter and the simulator step through these nodes with
-:meth:`TableKernel.step`, one node lookup plus one edge read; the planners
-(greedy, UCT and expectimax) look up their root node once and follow edges
-by pointer from there. The oracles in :mod:`.checks`,
+reward, the filter and the simulator, called one step at a time
+(``rewards.expected_reward``, ``belief.belief_predict``,
+``joint.step_joint``), do one node lookup plus one edge read with
+:meth:`TableKernel.step`. The episode loop of ``harness.run_episode`` and the
+planners (greedy, UCT and expectimax) look up their start node once and
+follow edges by pointer from there with :meth:`TableKernel.follow` or the
+node's ``edges``. The oracles in :mod:`.checks`,
 ``checks.expected_reward_by_enumeration`` among them, and
 ``joint.enumerate_joint_transitions`` do not read the store.
 
@@ -260,19 +263,25 @@ class TableKernel:
         node.edges[idx] = edge
         return edge
 
-    def step(
-        self, robot: RobotState, observables: tuple[Observation, ...], action: Action
-    ) -> tuple:
-        """The joint edge of ``action`` from ``(robot, observables)``.
+    def follow(self, node: JointNode, action: Action) -> tuple:
+        """The joint edge of ``action`` from ``node``, built on first use.
 
         Raises :class:`.model.IllegalActionError` if the action is not legal.
         """
-        node = self.node(robot, observables)
         try:
             idx = (node.actions or self.actions(node)).index(action)
         except ValueError:
             raise IllegalActionError(f"{action} is not legal in this state") from None
         return node.edges[idx] or self.joint_edge(node, idx)
+
+    def step(
+        self, robot: RobotState, observables: tuple[Observation, ...], action: Action
+    ) -> tuple:
+        """The joint edge of ``action`` from ``(robot, observables)``.
+
+        One node lookup, then :meth:`follow`.
+        """
+        return self.follow(self.node(robot, observables), action)
 
 
 _kernels: dict[RestaurantConfig, TableKernel] = {}

@@ -221,8 +221,11 @@ def initial_joint_state(cfg: RestaurantConfig, rng: np.random.Generator) -> Join
     return JointState(robot=RobotState(*cfg.robot_start), tables=tables, clock=0)
 
 
-def serve_blocked(ts: TableState) -> bool:
-    """Serving is gated only while the table waits for food that is not ready."""
+def serve_blocked(ts: TableState | Observation) -> bool:
+    """Serving is gated only while the table waits for food that is not ready.
+
+    Reads only observable variables, so a table's observation will do.
+    """
     return ts.current_request == REQUEST_WANT_FOOD and ts.cooking_status < 2
 
 

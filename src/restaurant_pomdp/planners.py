@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import Belief, edge_predict, table_from_observation
+from .belief import Belief, edge_predict
 from .config import ConfigError, RestaurantConfig
 from .kernel import JointNode, TableEdge, table_kernel
 from .model import (
@@ -100,7 +100,7 @@ def act_fcfs(b: Belief, cfg: RestaurantConfig) -> Action:
     candidates = [
         i
         for i, o in enumerate(b.observables)
-        if o.hand_raise == 1 and not serve_blocked(table_from_observation(o, 0))
+        if o.hand_raise == 1 and not serve_blocked(o)
     ]
     if not candidates:
         return NOOP

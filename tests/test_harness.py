@@ -1,12 +1,16 @@
 import dataclasses
+import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from restaurant_pomdp.belief import belief_init, belief_step
-from restaurant_pomdp.config import RestaurantConfig, validate_config
+from restaurant_pomdp import harness
+from restaurant_pomdp.belief import ObservationMismatchError, belief_init, belief_step
+from restaurant_pomdp.config import SCENARIOS, RestaurantConfig, validate_config
 from restaurant_pomdp.harness import (
     EpisodeTrace,
+    StepRecord,
     aggregate,
     evaluate,
     paired_difference,
@@ -18,8 +22,27 @@ from restaurant_pomdp.harness import (
     summarize,
     write_trace_jsonl,
 )
-from restaurant_pomdp.model import serve
-from restaurant_pomdp.planners import PolicySpec, value_expectimax
+from restaurant_pomdp.kernel import table_kernel
+from restaurant_pomdp.model import (
+    IllegalActionError,
+    JointState,
+    RobotState,
+    all_done,
+    go_to,
+    initial_joint_state,
+    observe,
+    sample_outcome,
+    serve,
+    table_from_observation,
+)
+from restaurant_pomdp.planners import (
+    PolicySpec,
+    make_policy,
+    parse_policy_spec,
+    value_expectimax,
+)
+
+from .strategies import small_configs
 
 
 def test_horizon_zero_gives_empty_trace(two_cfg):
@@ -102,6 +125,14 @@ def test_discounted_return_recomputable_from_step_rewards(two_cfg):
     assert abs(trace.discounted_return - total) < 1e-9
 
 
+class Script:
+    def __init__(self, actions):
+        self.actions = list(actions)
+
+    def act(self, b, rng):
+        return self.actions.pop(0)
+
+
 def test_scripted_optimal_policy_matches_expectimax_value():
     """On a deterministic tiny instance the realized return is the exact value.
 
@@ -121,16 +152,107 @@ def test_scripted_optimal_policy_matches_expectimax_value():
     )
     _, v_star = value_expectimax(belief_init(cfg), 2, cfg)
 
-    class Script:
-        def __init__(self, actions):
-            self.actions = list(actions)
-
-        def act(self, b, rng):
-            return self.actions.pop(0)
-
     trace = run_episode(Script([serve(0), serve(0)]), cfg, 0)
     assert trace.discounted_return == pytest.approx(v_star, abs=1e-9)
     assert trace.discounted_return == pytest.approx(5 + 5 * cfg.gamma, abs=1e-9)
+
+
+# --- the episode loop against a per-state reference ---------------------------------
+
+
+def reference_episode(spec: PolicySpec, cfg: RestaurantConfig, seed: int) -> EpisodeTrace:
+    """The episode loop on joint states, one node lookup per step.
+
+    Each step observes the true state, looks up the action's joint edge, samples
+    every table from its edge's rows at its satisfaction and filters with
+    ``belief_step``; ``run_episode`` must record exactly this.
+    """
+    cfg = validate_config(cfg)
+    policy = make_policy(spec, cfg)
+    init_rng, dyn_rng, pol_rng = harness.seed_streams(seed)
+    js = initial_joint_state(cfg, init_rng)
+    initial_sats = tuple(ts.satisfaction for ts in js.tables)
+    belief = belief_init(cfg)
+    steps = []
+    ret = 0.0
+    while js.clock < cfg.horizon and not all_done(js):
+        action = policy.act(belief, pol_rng)
+        observables = tuple(observe(ts) for ts in js.tables)
+        duration, nxt, _, _, edges = table_kernel(cfg).step(js.robot, observables, action)
+        tables, rewards = [], []
+        for ts, edge, obs in zip(js.tables, edges, nxt.observables):
+            ns, _, r = sample_outcome(edge.rows[ts.satisfaction], dyn_rng)
+            tables.append(table_from_observation(obs, ns))
+            rewards.append(r)
+        reward = float(math.fsum(rewards))
+        belief = belief_step(belief, action, duration, nxt.observables, cfg)
+        ret += cfg.gamma**js.clock * reward
+        js = JointState(robot=nxt.robot, tables=tuple(tables), clock=js.clock + duration)
+        steps.append(
+            StepRecord(
+                index=len(steps),
+                clock=js.clock,
+                action=action,
+                duration=duration,
+                observations=nxt.observables,
+                satisfactions=tuple(ts.satisfaction for ts in js.tables),
+                belief=belief.satisfaction,
+                table_rewards=tuple(rewards),
+                reward=reward,
+                discounted_return=ret,
+            )
+        )
+    return EpisodeTrace(
+        seed=seed,
+        policy=spec.kind,
+        config=cfg,
+        initial_satisfactions=initial_sats,
+        steps=tuple(steps),
+        discounted_return=ret,
+    )
+
+
+@pytest.mark.parametrize(
+    "policy", ["random", "fcfs", "greedy", "expectimax:depth=2", "mcts:budget=60,max_depth=3"]
+)
+@pytest.mark.parametrize("scenario", ["small-1table", "two-tables", "paper-3tables"])
+def test_episode_loop_equals_per_state_reference(scenario, policy):
+    spec = parse_policy_spec(policy)
+    cfg = SCENARIOS[scenario]()
+    for seed in range(5):
+        assert run_episode(spec, cfg, seed) == reference_episode(spec, cfg, seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=small_configs(), seed=st.integers(0, 2**16))
+def test_episode_loop_equals_per_state_reference_on_small_configs(cfg, seed):
+    spec = PolicySpec(kind="random")
+    assert run_episode(spec, cfg, seed) == reference_episode(spec, cfg, seed)
+
+
+@pytest.mark.parametrize(
+    "actions",
+    [[serve(0)], [go_to(0), go_to(0)]],
+    ids=["at-the-start", "after-a-step"],
+)
+def test_an_illegal_action_from_the_policy_raises(two_cfg, actions):
+    assert belief_init(two_cfg).robot.pos() != two_cfg.table_positions[0]
+    with pytest.raises(IllegalActionError):
+        run_episode(Script(actions), two_cfg, 0)
+
+
+@pytest.mark.parametrize("field", ["robot", "observables"])
+def test_an_initial_belief_off_the_true_state_raises(two_cfg, monkeypatch, field):
+    def shifted(cfg):
+        b = belief_init(cfg)
+        if field == "robot":
+            return dataclasses.replace(b, robot=RobotState(b.robot.x + 1, b.robot.y))
+        moved = dataclasses.replace(b.observables[1], t_since_request=1)
+        return dataclasses.replace(b, observables=(b.observables[0], moved))
+
+    monkeypatch.setattr(harness, "belief_init", shifted)
+    with pytest.raises(ObservationMismatchError):
+        run_episode(PolicySpec(kind="greedy"), two_cfg, 0)
 
 
 # --- evaluation --------------------------------------------------------------------
@@ -216,9 +338,19 @@ def test_trace_jsonl_round_trip_and_byte_identity(two_cfg, tmp_path):
     assert tuple(ts.satisfaction for ts in visited[-1].tables) == trace.steps[-1].satisfactions
 
 
-def test_trace_header_carries_config_and_schema(two_cfg, tmp_path):
-    import json
+@pytest.mark.parametrize("policy", ["random", "fcfs"])
+def test_written_observations_equal_asdict(two_cfg, tmp_path, policy):
+    for seed in range(3):
+        trace = run_episode(PolicySpec(kind=policy), two_cfg, seed)
+        path = tmp_path / f"{seed}.jsonl"
+        write_trace_jsonl(trace, str(path))
+        docs = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+        assert len(docs) == len(trace.steps) > 0
+        for doc, step in zip(docs, trace.steps):
+            assert doc["observations"] == [dataclasses.asdict(o) for o in step.observations]
 
+
+def test_trace_header_carries_config_and_schema(two_cfg, tmp_path):
     trace = run_episode(PolicySpec(kind="random"), two_cfg, 0)
     path = tmp_path / "t.jsonl"
     write_trace_jsonl(trace, str(path))

@@ -134,6 +134,17 @@ def test_every_joint_step_rejects_an_illegal_action(two_cfg):
         belief_predict(b, serve(0), two_cfg)
     with pytest.raises(IllegalActionError):
         step_joint(js, serve(0), two_cfg, np.random.default_rng(0))
+    kernel = table_kernel(two_cfg)
+    with pytest.raises(IllegalActionError):
+        kernel.follow(kernel.node(b.robot, b.observables), serve(0))
+
+
+def test_follow_is_step_without_the_lookup(two_cfg):
+    kernel = table_kernel(two_cfg)
+    b = belief_init(two_cfg)
+    node = kernel.node(b.robot, b.observables)
+    for action in kernel.actions(node):
+        assert kernel.follow(node, action) is kernel.step(b.robot, b.observables, action)
 
 
 @pytest.mark.parametrize(
