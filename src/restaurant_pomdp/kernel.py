@@ -27,7 +27,8 @@ reward, the filter and the simulator, called one step at a time
 :meth:`TableKernel.step`. The episode loop of ``harness.run_episode`` and the
 planners (greedy, UCT and expectimax) look up their start node once and
 follow edges by pointer from there with :meth:`TableKernel.follow` or the
-node's ``edges``. The oracles in :mod:`.checks`,
+node's ``edges``; expectimax's last ply reads the edges the way greedy
+does, for the expected reward only. The oracles in :mod:`.checks`,
 ``checks.expected_reward_by_enumeration`` among them, and
 ``joint.enumerate_joint_transitions`` do not read the store.
 

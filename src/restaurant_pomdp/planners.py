@@ -15,9 +15,10 @@ import numpy as np
 
 from .belief import Belief, edge_predict
 from .config import ConfigError, RestaurantConfig
-from .kernel import JointNode, TableEdge, table_kernel
+from .kernel import JointNode, TableEdge, TableKernel, table_kernel
 from .model import (
     Action,
+    ModelInvariantError,
     NOOP,
     action_sort_key,
     go_to,
@@ -49,8 +50,8 @@ def validate_policy_spec(spec: PolicySpec) -> PolicySpec:
         raise ConfigError("budget must be >= 1")
     if spec.max_depth < 1 or spec.depth < 1:
         raise ConfigError("search depth must be >= 1")
-    if spec.exploration < 0:
-        raise ConfigError("exploration constant must be >= 0")
+    if not (math.isfinite(spec.exploration) and spec.exploration >= 0):
+        raise ConfigError("exploration constant must be finite and >= 0")
     return spec
 
 
@@ -64,11 +65,17 @@ def parse_policy_spec(text: str) -> PolicySpec:
             if not sep:
                 raise ConfigError(f"bad policy parameter: {item!r}")
             if key in ("budget", "max_depth", "depth"):
-                kwargs[key] = int(raw)
+                convert = int
             elif key == "exploration":
-                kwargs[key] = float(raw)
+                convert = float
             else:
                 raise ConfigError(f"unknown policy parameter: {key!r}")
+            try:
+                kwargs[key] = convert(raw)
+            except ValueError:
+                raise ConfigError(
+                    f"policy parameter {key} must be {convert.__name__}, got {raw!r}"
+                ) from None
     return validate_policy_spec(PolicySpec(kind=name, **kwargs))
 
 
@@ -111,26 +118,37 @@ def act_fcfs(b: Belief, cfg: RestaurantConfig) -> Action:
 
 
 def act_greedy(b: Belief, cfg: RestaurantConfig) -> Action:
-    """Myopic argmax of one-step expected reward under the belief.
-
-    Scans the kernel node's joint edges in the fixed action order; the first
-    strict maximum wins.
-    """
+    """Myopic argmax of one-step expected reward under the belief."""
     kernel = table_kernel(cfg)
-    node = kernel.node(b.robot, b.observables)
+    return _greedy_scan(kernel, kernel.node(b.robot, b.observables), b.satisfaction)[0]
+
+
+def _greedy_scan(kernel: TableKernel, node: JointNode, sat: tuple) -> tuple[Action, float]:
+    """First strict argmax of :func:`.rewards.edge_expected_reward` and its value.
+
+    Scans the node's joint edges in the fixed action order.
+    """
+    observables = node.observables
     acts = node.actions or kernel.actions(node)
     edges = node.edges
     best_action = acts[0]
     best_value = -math.inf
     for idx, a in enumerate(acts):
         tables = (edges[idx] or kernel.joint_edge(node, idx))[4]
-        value = edge_expected_reward(b.observables, b.satisfaction, tables)
+        value = edge_expected_reward(observables, sat, tables)
         if value > best_value:
             best_action, best_value = a, value
-    return best_action
+    return best_action, best_value
 
 
 # --- Exact expectimax --------------------------------------------------------
+
+
+def _require_mass(node: JointNode, sat: tuple) -> None:
+    """Raise as :func:`.belief.edge_predict` does on an active table's massless vector."""
+    for i, (obs, vec) in enumerate(zip(node.observables, sat)):
+        if obs.hand_raise != 0 and not any(vec):
+            raise ModelInvariantError(f"table {i}: belief vector has no mass")
 
 
 def value_expectimax(
@@ -146,8 +164,13 @@ def value_expectimax(
     joint edge to the next node: ``E(reward)`` is the edge's
     :func:`.rewards.edge_expected_reward`, the sum greedy maximizes, and the
     next vectors are its :func:`.belief.edge_predict`, the propagation of
-    :func:`.belief.belief_predict`. Returns the optimal root action (``None``
-    at depth 0 or when every table is done) and the value.
+    :func:`.belief.belief_predict`. With one ply left the next value is zero,
+    so the last ply is greedy's scan: it propagates no belief, and depth-1
+    expectimax returns greedy's action and its expected reward bit for bit.
+    A last-ply belief is still checked for an active table's massless
+    vector, which :func:`.belief.edge_predict` would have rejected. Returns
+    the optimal root action (``None`` at depth 0 or when every table is done)
+    and the value.
     """
     kernel = table_kernel(cfg)
     actions = kernel.actions
@@ -162,6 +185,10 @@ def value_expectimax(
         cached = memo.get(key)
         if cached is not None:
             return cached
+        if remaining == 1:
+            _require_mass(node, sat)
+            memo[key] = result = _greedy_scan(kernel, node, sat)
+            return result
         observables = node.observables
         acts = node.actions or actions(node)
         edges = node.edges

@@ -92,6 +92,17 @@ def test_evaluate_unknown_policy_exits_two(tmp_path, capsys):
     assert "clairvoyant" in capsys.readouterr().err
 
 
+def test_run_non_integer_policy_parameter_exits_two(tmp_path, capsys):
+    code = main([
+        "run", "--scenario", "small-1table", "--policy", "mcts:budget=1.5",
+        "--out", str(tmp_path / "t.jsonl"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert "budget" in err
+
+
 def test_evaluate_bad_override_exits_two(tmp_path, capsys):
     code = main([
         "evaluate", "--scenario", "two-tables", "--override", "tables=2",

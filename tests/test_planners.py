@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from restaurant_pomdp.belief import Belief, belief_init, belief_predict, observe
+from restaurant_pomdp import planners
+from restaurant_pomdp.belief import Belief, belief_init, belief_predict, edge_predict, observe
 from restaurant_pomdp.config import SCENARIOS, ConfigError, validate_config
 from restaurant_pomdp.harness import run_episode
 from restaurant_pomdp.kernel import table_kernel
@@ -95,6 +96,12 @@ def reference_greedy(b: Belief, cfg):
     return best_action
 
 
+def greedy_choice(b: Belief, cfg) -> tuple:
+    """Greedy's action and the expected reward of its joint edge."""
+    action = act_greedy(b, cfg)
+    return (action, expected_reward(b, action, cfg))
+
+
 class RecordingPolicy:
     """Plays ``spec`` and keeps every belief it is asked to act on."""
 
@@ -127,7 +134,8 @@ def test_parse_policy_spec_round_trip():
 @pytest.mark.parametrize(
     "bad",
     ["nosuch", "mcts:budget=0", "mcts:depth=0", "mcts:exploration=-1",
-     "mcts:rollout=fancy", "mcts:oops=1"],
+     "mcts:rollout=fancy", "mcts:oops=1", "mcts:budget=1.5", "expectimax:depth=x",
+     "mcts:exploration=nan", "mcts:exploration=inf"],
 )
 def test_bad_policy_specs_rejected(bad):
     with pytest.raises(ConfigError):
@@ -284,11 +292,24 @@ def test_expectimax_depth_one_equals_greedy(small_cfg):
         if all_done(js):
             continue
         b = belief_from_state(js, small_cfg)
-        action, value = value_expectimax(b, 1, small_cfg)
-        assert action == act_greedy(b, small_cfg)
-        assert value == pytest.approx(
-            expected_reward(b, action, small_cfg), abs=1e-9
-        )
+        assert value_expectimax(b, 1, small_cfg) == greedy_choice(b, small_cfg)
+
+
+def test_expectimax_last_ply_propagates_no_belief(two_cfg, monkeypatch):
+    """Only plies with a next value propagate beliefs: none at depth 1, one
+    per root action at depth 2."""
+    calls = []
+
+    def counting_edge_predict(*args):
+        calls.append(args)
+        return edge_predict(*args)
+
+    monkeypatch.setattr(planners, "edge_predict", counting_edge_predict)
+    b = belief_init(two_cfg)
+    value_expectimax(b, 1, two_cfg)
+    assert calls == []
+    value_expectimax(b, 2, two_cfg)
+    assert len(calls) == len(sorted_legal_actions(b, two_cfg))
 
 
 def test_expectimax_support_cap(small_cfg):
@@ -315,12 +336,14 @@ def test_expectimax_value_nondecreasing_with_optional_waiting(small_cfg):
 )
 @pytest.mark.parametrize("kind", ["greedy", "random"])
 def test_expectimax_and_greedy_equal_the_belief_recursion(scenario, max_depth, n_beliefs, kind):
-    """Walking the kernel's nodes gives the belief-level algorithm's exact results."""
+    """Walking the kernel's nodes gives the belief-level algorithm's exact
+    results, and depth-1 expectimax is greedy's scan bit for bit."""
     cfg = SCENARIOS[scenario]()
     beliefs = episode_beliefs(cfg, kind, range(2))[:n_beliefs]
     assert beliefs
     for b in beliefs:
         assert act_greedy(b, cfg) == reference_greedy(b, cfg)
+        assert value_expectimax(b, 1, cfg) == greedy_choice(b, cfg)
         for depth in range(1, max_depth + 1):
             action, value = value_expectimax(b, depth, cfg)
             ref_action, ref_value = reference_expectimax(b, depth, cfg)
@@ -333,6 +356,7 @@ def test_expectimax_and_greedy_equal_the_belief_recursion(scenario, max_depth, n
 def test_expectimax_and_greedy_equal_the_belief_recursion_on_small_configs(cfg, seed):
     for b in episode_beliefs(cfg, "random", [seed])[:8]:
         assert act_greedy(b, cfg) == reference_greedy(b, cfg)
+        assert value_expectimax(b, 1, cfg) == greedy_choice(b, cfg)
         for depth in (1, 2, 3):
             assert value_expectimax(b, depth, cfg) == reference_expectimax(b, depth, cfg)
 
@@ -369,6 +393,21 @@ def test_expectimax_rejects_a_massless_belief(two_cfg):
     b = Belief(base.robot, base.observables, (base.satisfaction[0], massless))
     with pytest.raises(ModelInvariantError, match="no mass"):
         value_expectimax(b, 1, two_cfg)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_expectimax_rejects_a_massless_vector_at_every_depth(scenario, depth):
+    """An active table's massless vector raises whether or not its belief is
+    propagated, naming that table."""
+    cfg = SCENARIOS[scenario]()
+    b = episode_beliefs(cfg, "greedy", [0])[1]
+    last = cfg.n_tables - 1
+    assert b.observables[last].hand_raise != 0
+    sat = b.satisfaction[:last] + (tuple(0.0 for _ in b.satisfaction[last]),)
+    massless = Belief(b.robot, b.observables, sat)
+    with pytest.raises(ModelInvariantError, match=f"table {last}: belief vector has no mass"):
+        value_expectimax(massless, depth, cfg)
 
 
 # --- mcts -------------------------------------------------------------------------
