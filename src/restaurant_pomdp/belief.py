@@ -68,7 +68,7 @@ def belief_predict(b: Belief, action: Action, cfg: RestaurantConfig) -> tuple[Be
     which the kernel checks when it fills an edge, so the next observables
     are the next node's.
     """
-    duration, nxt, _, _, tables = table_kernel(cfg).step(b.robot, b.observables, action)
+    duration, nxt, _, tables = table_kernel(cfg).step(b.robot, b.observables, action)
     return (
         Belief(
             robot=nxt.robot,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -61,13 +61,6 @@ def _canonical(js: JointState) -> JointState:
     return JointState(robot=js.robot, tables=js.tables, clock=0)
 
 
-def _table_key(t: TableState) -> tuple[int, ...]:
-    return (
-        t.satisfaction, t.food, t.water, t.cooking_status, t.current_request,
-        t.hand_raise, t.t_since_served, t.t_since_food_ready, t.t_since_request,
-    )
-
-
 def reachable_joint_states(
     cfg: RestaurantConfig, cap: int = DEFAULT_STATE_CAP
 ) -> list[JointState]:
@@ -106,7 +99,7 @@ def reachable_joint_states(
                     frontier.append(canon)
     return sorted(
         seen,
-        key=lambda s: (s.robot.x, s.robot.y, tuple(map(_table_key, s.tables))),
+        key=lambda s: (s.robot.x, s.robot.y, tuple(map(astuple, s.tables))),
     )
 
 

@@ -10,6 +10,7 @@ schedule-critical fields cannot silently corrupt an experiment.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any
 
@@ -61,6 +62,19 @@ def _require_int(name: str, value: Any) -> int:
     return value
 
 
+def _require_number(name: str, value: Any) -> Any:
+    """``value`` as given, if it is a real number and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def _require_sequence(name: str, value: Any) -> tuple | list:
+    if not isinstance(value, (tuple, list)):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return value
+
+
 def _require_position(name: str, value: Any, width: int, height: int) -> tuple[int, int]:
     if not (isinstance(value, (tuple, list)) and len(value) == 2):
         raise ConfigError(f"{name} must be an (x, y) pair, got {value!r}")
@@ -72,9 +86,14 @@ def _require_position(name: str, value: Any, width: int, height: int) -> tuple[i
 
 
 def _validate_reward(params: RewardParams) -> RewardParams:
-    if not params.penalty_bases:
+    for name in ("serve_scale", "nav_divisor", "time_cap", "improvement_bonus"):
+        _require_number(f"reward.{name}", getattr(params, name))
+    if not _require_sequence("reward.penalty_bases", params.penalty_bases):
         raise ConfigError("penalty_bases must not be empty")
-    bases = tuple(float(b) for b in params.penalty_bases)
+    bases = tuple(
+        float(_require_number(f"reward.penalty_bases[{i}]", b))
+        for i, b in enumerate(params.penalty_bases)
+    )
     for b in bases:
         if not b > 1.0:
             raise ConfigError(f"penalty base {b} must be > 1")
@@ -101,7 +120,7 @@ def validate_config(cfg: RestaurantConfig) -> RestaurantConfig:
     if width < 1 or height < 1:
         raise ConfigError("grid dimensions must be >= 1")
 
-    if len(cfg.table_positions) != n:
+    if len(_require_sequence("table_positions", cfg.table_positions)) != n:
         raise ConfigError(
             f"expected {n} table_positions, got {len(cfg.table_positions)}"
         )
@@ -125,7 +144,7 @@ def validate_config(cfg: RestaurantConfig) -> RestaurantConfig:
         if time_max < 1:
             raise ConfigError("time_max must be >= 1")
 
-    if not (0.0 < cfg.gamma <= 1.0):
+    if not (0.0 < _require_number("gamma", cfg.gamma) <= 1.0):
         raise ConfigError(f"gamma={cfg.gamma} must lie in (0, 1]")
     horizon = _require_int("horizon", cfg.horizon)
     if horizon < 0:
@@ -151,7 +170,10 @@ def validate_config(cfg: RestaurantConfig) -> RestaurantConfig:
     if prior is None:
         prior = tuple(1.0 if s == init_sat else 0.0 for s in range(sat_max + 1))
     else:
-        prior = tuple(float(p) for p in prior)
+        prior = tuple(
+            float(_require_number(f"satisfaction_prior[{i}]", p))
+            for i, p in enumerate(_require_sequence("satisfaction_prior", prior))
+        )
         if len(prior) != sat_max + 1:
             raise ConfigError(
                 f"satisfaction_prior must have length {sat_max + 1}, got {len(prior)}"
@@ -198,13 +220,6 @@ def config_from_dict(doc: dict[str, Any]) -> RestaurantConfig:
             raise ConfigError(f"missing required config key: {required}")
 
     kwargs: dict[str, Any] = dict(doc)
-    kwargs["table_positions"] = tuple(
-        tuple(p) if isinstance(p, (list, tuple)) else p
-        for p in doc["table_positions"]
-    )
-    kwargs["robot_start"] = tuple(doc["robot_start"])
-    if doc.get("satisfaction_prior") is not None:
-        kwargs["satisfaction_prior"] = tuple(doc["satisfaction_prior"])
     reward_doc = doc.get("reward")
     if reward_doc is not None:
         if not isinstance(reward_doc, dict):
@@ -212,10 +227,7 @@ def config_from_dict(doc: dict[str, Any]) -> RestaurantConfig:
         unknown = sorted(set(reward_doc) - set(_REWARD_KEYS))
         if unknown:
             raise ConfigError(f"unknown reward keys: {', '.join(unknown)}")
-        rkwargs = dict(reward_doc)
-        if "penalty_bases" in rkwargs:
-            rkwargs["penalty_bases"] = tuple(rkwargs["penalty_bases"])
-        kwargs["reward"] = RewardParams(**rkwargs)
+        kwargs["reward"] = RewardParams(**reward_doc)
 
     try:
         cfg = RestaurantConfig(**kwargs)

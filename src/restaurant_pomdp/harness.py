@@ -85,12 +85,6 @@ class Metrics:
     completion_rate: float
 
 
-def _policy_label(policy) -> str:
-    if isinstance(policy, PolicySpec):
-        return policy.kind
-    return type(policy).__name__
-
-
 def run_episode(policy, cfg: RestaurantConfig, seed: int) -> EpisodeTrace:
     """One seeded episode; ends at the horizon or when every table is done.
 
@@ -110,7 +104,7 @@ def run_episode(policy, cfg: RestaurantConfig, seed: int) -> EpisodeTrace:
         label = policy.kind
         policy = make_policy(policy, cfg)
     else:
-        label = _policy_label(policy)
+        label = type(policy).__name__
     kernel = table_kernel(cfg)
     init_rng, dyn_rng, pol_rng = seed_streams(seed)
     js = initial_joint_state(cfg, init_rng)
@@ -128,7 +122,7 @@ def run_episode(policy, cfg: RestaurantConfig, seed: int) -> EpisodeTrace:
     ret = 0.0
     while clock < cfg.horizon and not node.done:
         action = policy.act(belief, pol_rng)
-        duration, nxt, _, _, tables = kernel.follow(node, action)
+        duration, nxt, _, tables = kernel.follow(node, action)
         sats, table_rewards = edge_sample(tables, sats, dyn_rng)
         reward = math.fsum(table_rewards)
         predicted = edge_predict(node.observables, belief.satisfaction, tables)

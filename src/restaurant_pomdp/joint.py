@@ -63,7 +63,7 @@ def step_joint(
     step on a node it already holds, without the lookup or the states.
     """
     observables = tuple(observe(ts) for ts in js.tables)
-    duration, nxt, _, _, edges = table_kernel(cfg).step(js.robot, observables, action)
+    duration, nxt, _, edges = table_kernel(cfg).step(js.robot, observables, action)
     sats, rewards = edge_sample(edges, tuple(ts.satisfaction for ts in js.tables), rng)
     tables = tuple(table_from_observation(o, s) for o, s in zip(nxt.observables, sats))
     return JointStepResult(

@@ -19,12 +19,13 @@ an edge is bit-identical to computing it from the model directly.
 
 Table edges compose into one graph of observable joint states. A
 :class:`JointNode` is keyed by ``(robot, observables)`` and holds its sorted
-legal actions and, per action, a joint edge made of the tables' edges (see
-:meth:`TableKernel.joint_edge`), each filled on first use. The expected
-reward, the filter and the simulator, called one step at a time
-(``rewards.expected_reward``, ``belief.belief_predict``,
-``joint.step_joint``), do one node lookup plus one edge read with
-:meth:`TableKernel.step`. The episode loop of ``harness.run_episode`` and the
+legal actions and, per action, a joint edge ``(duration, next, outcomes,
+tables)``: the next node, the tables' edges in table order and their
+outcomes over joint satisfaction codes (see :meth:`TableKernel.joint_edge`),
+each filled on first use. The expected reward, the filter and the
+simulator, called one step at a time (``rewards.expected_reward``,
+``belief.belief_predict``, ``joint.step_joint``), do one node lookup plus
+one edge read with :meth:`TableKernel.step`. The episode loop of ``harness.run_episode`` and the
 planners (greedy, UCT and expectimax) look up their start node once and
 follow edges by pointer from there with :meth:`TableKernel.follow` or the
 node's ``edges``; expectimax's last ply reads the edges the way greedy
@@ -105,9 +106,11 @@ class JointNode:
 class _LazyTable(dict):
     """One joint edge's outcome per joint satisfaction code, filled on demand.
 
-    With no serve target ``j`` the outcome is ``(next_code, reward)``: every
-    table then has one row per satisfaction level, as :meth:`TableKernel._fill`
-    rejects a second outcome on any event but a serve. With one, the outcome
+    It is the joint edge's ``outcomes`` field, and ``j`` is the edge's serve
+    target, ``None`` unless the action serves a table. With no serve target
+    the outcome is ``(next_code, reward)``: every table then has one row per
+    satisfaction level, as :meth:`TableKernel._fill` rejects a second outcome
+    on any event but a serve. With one, the outcome
     is the sampling rows ``(cum, next_code, reward)``: the other tables' rows
     folded around the target's, whose probabilities become cumulative
     thresholds, the last forced to infinity so a uniform draw always selects
@@ -240,11 +243,10 @@ class TableKernel:
 
         The node's actions must have been filled.
 
-        The edge is ``(duration, next, tag, outcomes, tables)``: ``next`` is
-        the next node, ``tables`` the tables' edges in table order and
-        ``outcomes`` their :class:`_LazyTable` over satisfaction codes; tag 0
-        marks a deterministic edge, tag 1 a serve, whose outcome is sampled
-        from the target's cumulative rows.
+        The edge is ``(duration, next, outcomes, tables)``: ``next`` is the
+        next node, ``tables`` the tables' edges in table order and
+        ``outcomes`` their :class:`_LazyTable` over satisfaction codes, whose
+        ``j`` is the serve target (``None`` on a deterministic edge).
         """
         action = node.actions[idx]
         robot = node.robot
@@ -256,11 +258,8 @@ class TableKernel:
         nxt = self.node(
             next_robot(robot, action, self.cfg), tuple(e.next_obs for e in tables)
         )
-        k = self.cfg.sat_max + 1
-        if action.kind is ActionKind.SERVE:
-            edge = (duration, nxt, 1, _LazyTable(tables, k, action.table), tables)
-        else:
-            edge = (duration, nxt, 0, _LazyTable(tables, k, None), tables)
+        j = action.table if action.kind is ActionKind.SERVE else None
+        edge = (duration, nxt, _LazyTable(tables, self.cfg.sat_max + 1, j), tables)
         node.edges[idx] = edge
         return edge
 

@@ -188,11 +188,14 @@ def all_done(js: JointState) -> bool:
     return all(ts.done for ts in js.tables)
 
 
-def sample_outcome(outcomes, rng: np.random.Generator):
+def sample_outcome(outcomes, rng):
     """One entry of ``outcomes``, tuples whose second item is a probability.
 
-    Draws a uniform only when there is more than one outcome, so a
-    deterministic transition leaves the random stream untouched.
+    ``rng`` is any generator with a ``random()`` method, a NumPy
+    ``Generator`` or a ``random.Random``. It draws a uniform only when there
+    is more than one outcome, so a deterministic transition leaves the random
+    stream untouched; a uniform at or above the probabilities' float sum
+    selects the last outcome.
     """
     if len(outcomes) == 1:
         return outcomes[0]

@@ -22,6 +22,7 @@ from .model import (
     NOOP,
     action_sort_key,
     go_to,
+    sample_outcome,
     serve,
     serve_blocked,
 )
@@ -64,6 +65,8 @@ def parse_policy_spec(text: str) -> PolicySpec:
             key, sep, raw = item.partition("=")
             if not sep:
                 raise ConfigError(f"bad policy parameter: {item!r}")
+            if key in kwargs:
+                raise ConfigError(f"repeated policy parameter: {key!r}")
             if key in ("budget", "max_depth", "depth"):
                 convert = int
             elif key == "exploration":
@@ -134,7 +137,7 @@ def _greedy_scan(kernel: TableKernel, node: JointNode, sat: tuple) -> tuple[Acti
     best_action = acts[0]
     best_value = -math.inf
     for idx, a in enumerate(acts):
-        tables = (edges[idx] or kernel.joint_edge(node, idx))[4]
+        tables = (edges[idx] or kernel.joint_edge(node, idx))[3]
         value = edge_expected_reward(observables, sat, tables)
         if value > best_value:
             best_action, best_value = a, value
@@ -196,7 +199,7 @@ def value_expectimax(
         best_value = -math.inf
         for idx, a in enumerate(acts):
             edge = edges[idx] or joint_edge(node, idx)
-            tables = edge[4]
+            tables = edge[3]
             er = edge_expected_reward(observables, sat, tables)
             next_sat = edge_predict(observables, sat, tables)
             value = er + gamma ** edge[0] * rec(edge[1], next_sat, remaining - 1)[1]
@@ -252,19 +255,19 @@ class _StoreView:
     @property
     def table_edges(self) -> list[TableEdge]:
         """The distinct table edges the built joint edges are made of."""
-        distinct = {id(e): e for edge in self.joint_edges.values() for e in edge[4]}
+        distinct = {id(e): e for edge in self.joint_edges.values() for e in edge[3]}
         return list(distinct.values())
 
 
 class _Node:
-    """Per-tree visit statistics at one kernel node."""
+    """Per-tree visit statistics at one kernel node.
 
-    __slots__ = (
-        "state", "children", "n", "na", "wa", "q", "inv_sqrt", "untried", "expanded",
-    )
+    A node is expanded exactly when ``na`` is non-empty, as NOOP is always legal.
+    """
 
-    def __init__(self, state: JointNode) -> None:
-        self.state = state
+    __slots__ = ("children", "n", "na", "wa", "q", "inv_sqrt", "untried")
+
+    def __init__(self) -> None:
         self.children: list = []
         self.n = 0
         self.na: list[int] = []
@@ -272,156 +275,13 @@ class _Node:
         self.q: list[float] = []       # wa / na, maintained incrementally
         self.inv_sqrt: list[float] = []  # 1 / sqrt(na), maintained incrementally
         self.untried = 0               # index of the first never-tried action
-        self.expanded = False
 
-
-class _Search:
-    def __init__(
-        self,
-        cfg: RestaurantConfig,
-        exploration: float,
-        max_depth: int,
-        rng: random.Random,
-    ) -> None:
-        self.kernel = table_kernel(cfg)
-        self.c = exploration
-        self.max_depth = max_depth
-        self.rng = rng
-        self.sat_values = cfg.sat_max + 1
-        self.gamma_pow = {
-            d: cfg.gamma**d for d in range(1, cfg.duration_max_nav + 1)
-        }
-
-    # -- simulation --
-
-    def _rollout(self, st: JointNode, code: int, steps: int) -> float:
-        value = 0.0
-        discount = 1.0
-        rng = self.rng
-        randrange = rng.randrange
-        rand = rng.random
-        gamma_pow = self.gamma_pow
-        actions = self.kernel.actions
-        joint_edge = self.kernel.joint_edge
-        while steps > 0 and not st.done:
-            acts = st.actions or actions(st)
-            idx = randrange(len(acts))
-            edge = st.edges[idx] or joint_edge(st, idx)
-            if edge[2] == 0:
-                code, r = edge[3][code]
-                value += discount * r
-            else:
-                u = rand()
-                for cum, next_code, r in edge[3][code]:
-                    if u < cum:
-                        value += discount * r
-                        code = next_code
-                        break
-            discount *= gamma_pow[edge[0]]
-            st = edge[1]
-            steps -= 1
-        return value
-
-    def _expand(self, node: _Node) -> None:
-        n = len(self.kernel.actions(node.state))
-        node.children = [None] * n
-        node.na = [0] * n
-        node.wa = [0.0] * n
-        node.q = [0.0] * n
-        node.inv_sqrt = [0.0] * n
-        node.expanded = True
-
-    def run(self, root_state: JointNode, samplers, budget: int) -> tuple[int, _Node]:
-        root = _Node(root_state)
-        rand = self.rng.random
-        joint_edge = self.kernel.joint_edge
-        sqrt, log = math.sqrt, math.log
-        c = self.c
-        k_values = self.sat_values
-        gamma_pow = self.gamma_pow
-        max_depth = self.max_depth
-        base_code: int | None = None
-        if all(isinstance(s, int) for s in samplers):
-            base_code = 0
-            mult = 1
-            for s in samplers:
-                base_code += s * mult
-                mult *= k_values
-        for _ in range(budget):
-            if base_code is not None:
-                code = base_code
-            else:
-                code = 0
-                mult = 1
-                for s in samplers:
-                    drawn = s if isinstance(s, int) else self._draw(s, rand())
-                    code += drawn * mult
-                    mult *= k_values
-            node = root
-            depth = 0
-            path = []
-            tail = 0.0
-            while True:
-                if node.state.done or depth == max_depth:
-                    break
-                if not node.expanded:
-                    self._expand(node)
-                    tail = self._rollout(node.state, code, max_depth - depth)
-                    break
-                na = node.na
-                if node.untried < len(na):
-                    idx = node.untried
-                    node.untried += 1
-                else:
-                    bonus = c * sqrt(log(node.n))
-                    q = node.q
-                    inv = node.inv_sqrt
-                    idx = 0
-                    best_u = q[0] + bonus * inv[0]
-                    for i in range(1, len(na)):
-                        u = q[i] + bonus * inv[i]
-                        if u > best_u:
-                            idx, best_u = i, u
-                edge = node.state.edges[idx] or joint_edge(node.state, idx)
-                if edge[2] == 0:
-                    code, r = edge[3][code]
-                else:
-                    u = rand()
-                    for cum, next_code, row_r in edge[3][code]:
-                        if u < cum:
-                            r = row_r
-                            code = next_code
-                            break
-                child = node.children[idx]
-                if child is None:
-                    child = _Node(edge[1])
-                    node.children[idx] = child
-                path.append((node, idx, r, edge[0]))
-                node = child
-                depth += 1
-            value = tail
-            for nd, idx, r, duration in reversed(path):
-                value = r + gamma_pow[duration] * value
-                count = nd.na[idx] + 1
-                nd.na[idx] = count
-                nd.wa[idx] += value
-                nd.q[idx] = nd.wa[idx] / count
-                nd.inv_sqrt[idx] = 1.0 / sqrt(count)
-                nd.n += 1
-        if not root.expanded:
-            self._expand(root)
-        best = 0
-        for i in range(1, len(root.na)):
-            if root.na[i] > root.na[best]:
-                best = i
-        return best, root
-
-    @staticmethod
-    def _draw(cum: tuple[float, ...], u: float) -> int:
-        for i, acc in enumerate(cum):
-            if u < acc:
-                return i
-        return len(cum) - 1
+    def expand(self, n: int) -> None:
+        self.children = [None] * n
+        self.na = [0] * n
+        self.wa = [0.0] * n
+        self.q = [0.0] * n
+        self.inv_sqrt = [0.0] * n
 
 
 def mcts_search(
@@ -435,30 +295,94 @@ def mcts_search(
 ) -> tuple[Action, float]:
     """UCT over the belief: returns the recommended action and its value estimate.
 
-    Runs ``budget`` simulations, each starting from satisfaction values drawn
-    from the belief, selecting tree actions by UCB1 and evaluating leaves by a
-    uniform-random rollout truncated at ``max_depth`` actions. Recommendation
-    is by visit count; ties break by the fixed action ordering.
+    Runs ``budget`` simulations. Each draws every table's satisfaction from
+    its belief vector with :func:`.model.sample_outcome`, then takes up to
+    ``max_depth`` actions: by UCB1 while in the tree, and uniformly at random
+    (the rollout) from the first node not yet expanded, which it expands.
+    Recommendation is by visit count; ties break by the fixed action ordering.
+    An active table's massless vector raises :class:`.model.ModelInvariantError`.
     """
     internal = random.Random(int(rng.integers(2**63)))
-    search = _Search(cfg, exploration, max_depth, internal)
-    samplers: list = []
-    for vec in b.satisfaction:
-        support = [s for s, p in enumerate(vec) if p > 0.0]
-        if len(support) == 1:
-            samplers.append(support[0])
-        else:
-            acc = 0.0
-            cum = []
-            for p in vec:
-                acc += p
-                cum.append(acc)
-            samplers.append(tuple(cum))
-    best, root = search.run(search.kernel.node(b.robot, b.observables), samplers, budget)
-    action = root.state.actions[best]
-    visits = root.na[best]
-    value = root.wa[best] / visits if visits else 0.0
-    return action, value
+    rand = internal.random
+    randrange = internal.randrange
+    kernel = table_kernel(cfg)
+    actions = kernel.actions
+    joint_edge = kernel.joint_edge
+    sqrt, log = math.sqrt, math.log
+    k = cfg.sat_max + 1
+    gamma_pow = {d: cfg.gamma**d for d in range(1, cfg.duration_max_nav + 1)}
+    supports = [tuple((s, p) for s, p in enumerate(vec) if p > 0.0) for vec in b.satisfaction]
+    root_state = kernel.node(b.robot, b.observables)
+    _require_mass(root_state, b.satisfaction)
+    root = _Node()
+    for _ in range(budget):
+        code = 0
+        mult = 1
+        for support in supports:
+            code += sample_outcome(support, internal)[0] * mult
+            mult *= k
+        node: _Node | None = root
+        state = root_state
+        path = []
+        tail = 0.0
+        discount = 1.0
+        for _ in range(max_depth):
+            if state.done:
+                break
+            if node is not None and node.na:
+                na = node.na
+                if node.untried < len(na):
+                    idx = node.untried
+                    node.untried += 1
+                else:
+                    bonus = exploration * sqrt(log(node.n))
+                    q = node.q
+                    inv = node.inv_sqrt
+                    idx = 0
+                    best_u = q[0] + bonus * inv[0]
+                    for i in range(1, len(na)):
+                        u = q[i] + bonus * inv[i]
+                        if u > best_u:
+                            idx, best_u = i, u
+            else:
+                n_acts = len(state.actions or actions(state))
+                if node is not None:
+                    node.expand(n_acts)
+                    node = None
+                idx = randrange(n_acts)
+            edge = state.edges[idx] or joint_edge(state, idx)
+            outcomes = edge[2]
+            if outcomes.j is None:
+                code, r = outcomes[code]
+            else:
+                u = rand()
+                for cum, next_code, r in outcomes[code]:
+                    if u < cum:
+                        break
+                code = next_code
+            if node is None:
+                tail += discount * r
+                discount *= gamma_pow[edge[0]]
+            else:
+                child = node.children[idx]
+                if child is None:
+                    child = node.children[idx] = _Node()
+                path.append((node, idx, r, edge[0]))
+                node = child
+            state = edge[1]
+        value = tail
+        for nd, idx, r, duration in reversed(path):
+            value = r + gamma_pow[duration] * value
+            count = nd.na[idx] + 1
+            nd.na[idx] = count
+            nd.wa[idx] += value
+            nd.q[idx] = nd.wa[idx] / count
+            nd.inv_sqrt[idx] = 1.0 / sqrt(count)
+            nd.n += 1
+    acts = root_state.actions or actions(root_state)
+    visits = root.na or [0] * len(acts)  # a done root is never expanded
+    best = max(range(len(acts)), key=visits.__getitem__)
+    return acts[best], (root.wa[best] / visits[best] if visits[best] else 0.0)
 
 
 def act_mcts(

@@ -113,7 +113,7 @@ def expected_reward(b: Belief, action: Action, cfg: RestaurantConfig) -> float:
     :class:`.model.IllegalActionError` on an illegal action, and sums it with
     :func:`edge_expected_reward`.
     """
-    tables = table_kernel(cfg).step(b.robot, b.observables, action)[4]
+    tables = table_kernel(cfg).step(b.robot, b.observables, action)[3]
     return edge_expected_reward(b.observables, b.satisfaction, tables)
 
 

@@ -51,6 +51,20 @@ def test_run_horizon_zero_override(tmp_path, capsys):
     assert "discounted_return=0.0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "override",
+    ["table_positions=5", "robot_start=7", "satisfaction_prior=3", "reward.penalty_bases=2",
+     'gamma="x"', 'reward.serve_scale="a"', "gamma=true"],
+)
+def test_run_config_value_of_the_wrong_type_exits_two(override, tmp_path, capsys):
+    code = main([
+        "run", "--scenario", "two-tables", "--override", override,
+        "--out", str(tmp_path / "t.jsonl"),
+    ])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_run_from_config_file(two_table_config_file, tmp_path):
     out = tmp_path / "t.jsonl"
     assert main(["run", "--config", two_table_config_file, "--out", str(out)]) == 0

@@ -178,7 +178,7 @@ def reference_episode(spec: PolicySpec, cfg: RestaurantConfig, seed: int) -> Epi
     while js.clock < cfg.horizon and not all_done(js):
         action = policy.act(belief, pol_rng)
         observables = tuple(observe(ts) for ts in js.tables)
-        duration, nxt, _, _, edges = table_kernel(cfg).step(js.robot, observables, action)
+        duration, nxt, _, edges = table_kernel(cfg).step(js.robot, observables, action)
         tables, rewards = [], []
         for ts, edge, obs in zip(js.tables, edges, nxt.observables):
             ns, _, r = sample_outcome(edge.rows[ts.satisfaction], dyn_rng)

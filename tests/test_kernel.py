@@ -22,6 +22,7 @@ from restaurant_pomdp.joint import step_joint
 from restaurant_pomdp.kernel import table_kernel
 from restaurant_pomdp.model import (
     NOOP,
+    ActionKind,
     IllegalActionError,
     JointState,
     ModelInvariantError,
@@ -92,7 +93,7 @@ def test_edges_match_model_on_small_configs(cfg, seed):
 
 
 def assert_joint_edges_compose_table_edges(cfg, states) -> int:
-    """Each legal action's joint edge: its duration, next robot and the very table edges."""
+    """Each legal action's joint edge: its duration, next robot, serve target and table edges."""
     kernel = table_kernel(cfg)
     checked = 0
     for js in states:
@@ -100,7 +101,10 @@ def assert_joint_edges_compose_table_edges(cfg, states) -> int:
         node = kernel.node(js.robot, observables)
         assert kernel.actions(node) == tuple(sorted(legal_actions(js, cfg), key=action_sort_key))
         for action in node.actions:
-            duration, nxt, _, _, tables = kernel.step(js.robot, observables, action)
+            edge = kernel.step(js.robot, observables, action)
+            assert len(edge) == 4
+            duration, nxt, outcomes, tables = edge
+            assert outcomes.j == (action.table if action.kind is ActionKind.SERVE else None)
             assert duration == action_duration(js.robot, action, cfg)
             assert nxt.robot == next_robot(js.robot, action, cfg)
             assert nxt.observables == tuple(e.next_obs for e in tables)

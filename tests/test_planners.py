@@ -135,7 +135,7 @@ def test_parse_policy_spec_round_trip():
     "bad",
     ["nosuch", "mcts:budget=0", "mcts:depth=0", "mcts:exploration=-1",
      "mcts:rollout=fancy", "mcts:oops=1", "mcts:budget=1.5", "expectimax:depth=x",
-     "mcts:exploration=nan", "mcts:exploration=inf"],
+     "mcts:exploration=nan", "mcts:exploration=inf", "mcts:budget=5,budget=10"],
 )
 def test_bad_policy_specs_rejected(bad):
     with pytest.raises(ConfigError):
@@ -490,6 +490,40 @@ def test_mcts_is_independent_of_the_store(two_cfg, monkeypatch):
     assert kernel.nodes.clears >= 1
     assert cold[0] == warm[0] == limited[0]
     assert cold[1].hex() == warm[1].hex() == limited[1].hex()
+
+
+def test_mcts_root_draw_at_the_float_sum_takes_the_last_level_with_mass(two_cfg, monkeypatch):
+    """A uniform at or above a vector's float sum picks its last massive level, never beyond."""
+
+    class TopRandom(planners.random.Random):
+        def random(self):
+            return 1.0 - 2.0**-53
+
+        # Overriding random() alone would make randrange reject every draw.
+        def getrandbits(self, k):
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(planners.random, "Random", TopRandom)
+    base = belief_init(two_cfg)
+    split = (0.7, 0.2, 0.1, 0.0, 0.0, 0.0)
+    assert math.fsum(split) == 1.0 and sum(split) == 1.0 - 2.0**-53
+    point = (0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+    searches = [
+        mcts_search(
+            Belief(base.robot, base.observables, (vec, base.satisfaction[1])),
+            two_cfg, 50, np.random.default_rng(0), max_depth=3,
+        )
+        for vec in (split, point)
+    ]
+    assert searches[0] == searches[1]
+
+
+def test_mcts_rejects_a_massless_belief(two_cfg):
+    base = belief_init(two_cfg)
+    massless = tuple(0.0 for _ in base.satisfaction[0])
+    b = Belief(base.robot, base.observables, (massless, base.satisfaction[1]))
+    with pytest.raises(ModelInvariantError, match="table 0: belief vector has no mass"):
+        mcts_search(b, two_cfg, 20, np.random.default_rng(0), max_depth=3)
 
 
 def test_mcts_error_decreases_with_budget(small_cfg):
