@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import ConfigError, RestaurantConfig
-from .kernel import TableEdge, table_kernel
+from .kernel import table_kernel
 from .model import (
     Action,
     ModelInvariantError,
@@ -63,52 +63,14 @@ def belief_predict(b: Belief, action: Action, cfg: RestaurantConfig) -> tuple[Be
 
     Reads the action's joint edge from :mod:`.kernel`, which raises
     :class:`.model.IllegalActionError` on an illegal action, and propagates
-    the satisfaction vectors with :func:`edge_predict`. The observable part
-    advances deterministically and identically for every satisfaction value,
-    which the kernel checks when it fills an edge, so the next observables
-    are the next node's.
+    the satisfaction vectors with its :meth:`.kernel.JointEdge.predict`. The
+    observable part advances deterministically and identically for every
+    satisfaction value, which the kernel checks when it fills an edge, so the
+    next observables are the next node's.
     """
-    duration, nxt, _, tables = table_kernel(cfg).step(b.robot, b.observables, action)
-    return (
-        Belief(
-            robot=nxt.robot,
-            observables=nxt.observables,
-            satisfaction=edge_predict(b.observables, b.satisfaction, tables),
-        ),
-        duration,
-    )
-
-
-def edge_predict(
-    observables: tuple[Observation, ...],
-    satisfaction: tuple[tuple[float, ...], ...],
-    tables: tuple[TableEdge, ...],
-) -> tuple[tuple[float, ...], ...]:
-    """Per-table satisfaction vectors after one joint edge.
-
-    Each active table's vector is propagated through the satisfaction rows of
-    its table edge in ``tables`` (a joint edge's last field); a departed
-    table's vector is kept as it is. An active table whose vector has no mass
-    raises :class:`.model.ModelInvariantError`.
-    """
-    new_vecs: list[tuple[float, ...]] = []
-    for i, (obs, vec, edge) in enumerate(zip(observables, satisfaction, tables)):
-        if obs.hand_raise == 0:
-            new_vecs.append(vec)
-            continue
-        rows = edge.rows
-        out = [0.0] * len(vec)
-        has_mass = False
-        for sat, p in enumerate(vec):
-            if p == 0.0:
-                continue
-            has_mass = True
-            for ns, q, _ in rows[sat]:
-                out[ns] += p * q
-        if not has_mass:
-            raise ModelInvariantError(f"table {i}: belief vector has no mass")
-        new_vecs.append(tuple(out))
-    return tuple(new_vecs)
+    edge = table_kernel(cfg).step(b.robot, b.observables, action)
+    predicted = edge.predict(b.observables, b.satisfaction)
+    return Belief(edge.next.robot, edge.next.observables, predicted), edge.duration
 
 
 def belief_step(
@@ -123,7 +85,7 @@ def belief_step(
     Predicts with :func:`belief_predict` (one node lookup), checks that
     ``duration`` is the action's, then applies :func:`condition`.
     ``harness.run_episode`` runs the same step on the joint edge it already
-    holds, as :func:`edge_predict` followed by :func:`condition`.
+    holds, as :meth:`.kernel.JointEdge.predict` followed by :func:`condition`.
     """
     predicted, d = belief_predict(b, action, cfg)
     if duration != d:

@@ -71,7 +71,6 @@ def reachable_joint_states(
     """
     cfg = validate_config(cfg)
     prior = cfg.satisfaction_prior
-    assert prior is not None
     support = [s for s, p in enumerate(prior) if p > 0.0]
     robot = RobotState(*cfg.robot_start)
 
@@ -222,7 +221,6 @@ def check_filter_vs_enumeration(
     """
     cfg = validate_config(cfg)
     prior = cfg.satisfaction_prior
-    assert prior is not None
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(sequences):
@@ -277,7 +275,6 @@ def check_filter_vs_enumeration(
 
 def _random_table_state(rng: np.random.Generator, cfg: RestaurantConfig) -> TableState:
     tm = cfg.time_max
-    assert tm is not None
     if rng.random() < 0.08:
         # Occasionally a departed (absorbing) table.
         return TableState(

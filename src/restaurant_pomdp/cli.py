@@ -123,8 +123,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_counts(args: argparse.Namespace) -> None:
+    for flag, value in (("--episodes", args.episodes), ("--workers", args.workers)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
+    _check_counts(args)
     spec = parse_policy_spec(args.policy)
     metrics = evaluate(spec, cfg, args.episodes, cfg.seed, workers=args.workers)
     append_metrics_csv(args.out, args.policy, cfg.seed, metrics)
@@ -135,6 +142,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
+    _check_counts(args)
     if not args.policy:
         raise ConfigError("compare requires at least one --policy")
     specs = [(label, parse_policy_spec(label)) for label in args.policy]
@@ -154,7 +162,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print(f"{label}: mean_return={metrics.mean_return:.4f} se={se:.4f}")
     for (la, _, ra), (lb, _, rb) in zip(results, results[1:]):
         mean, se = paired_difference(ra, rb)
-        z = mean / se if se > 0 else math.inf
+        z = mean / se if se > 0 else math.copysign(math.inf, mean) if mean else 0.0
         print(f"{la} - {lb}: paired_diff={mean:.4f} se={se:.4f} z={z:.2f}")
     print(f"comparison written to {args.out}")
     return EXIT_OK

@@ -23,10 +23,9 @@ from .belief import (
     ObservationMismatchError,
     belief_init,
     condition,
-    edge_predict,
 )
 from .config import RestaurantConfig, config_to_dict, validate_config
-from .joint import edge_sample, step_joint
+from .joint import step_joint
 from .kernel import table_kernel
 from .model import Action, ActionKind, JointState, initial_joint_state, observe
 from .planners import PolicySpec, make_policy
@@ -94,9 +93,9 @@ def run_episode(policy, cfg: RestaurantConfig, seed: int) -> EpisodeTrace:
     The loop keeps its place in the kernel's joint-state graph: each step
     follows the action's joint edge from the current node (raising
     :class:`.model.IllegalActionError` on an illegal action), and the
-    simulator (:func:`.joint.edge_sample`) and the filter
-    (:func:`.belief.edge_predict`, then :func:`.belief.condition`) both read
-    that edge. The states and beliefs are those of :func:`.joint.step_joint`
+    simulator (the edge's :meth:`~.kernel.JointEdge.sample`) and the filter
+    (its :meth:`~.kernel.JointEdge.predict`, then :func:`.belief.condition`)
+    both read that edge. The states and beliefs are those of :func:`.joint.step_joint`
     and :func:`.belief.belief_step`, draw for draw.
     """
     cfg = validate_config(cfg)
@@ -122,10 +121,11 @@ def run_episode(policy, cfg: RestaurantConfig, seed: int) -> EpisodeTrace:
     ret = 0.0
     while clock < cfg.horizon and not node.done:
         action = policy.act(belief, pol_rng)
-        duration, nxt, _, tables = kernel.follow(node, action)
-        sats, table_rewards = edge_sample(tables, sats, dyn_rng)
+        edge = kernel.follow(node, action)
+        duration, nxt = edge.duration, edge.next
+        sats, table_rewards = edge.sample(sats, dyn_rng)
         reward = math.fsum(table_rewards)
-        predicted = edge_predict(node.observables, belief.satisfaction, tables)
+        predicted = edge.predict(node.observables, belief.satisfaction)
         belief = condition(Belief(nxt.robot, nxt.observables, predicted), nxt.observables)
         ret += cfg.gamma**clock * reward
         clock += duration

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import RestaurantConfig
 from .dynamics import action_duration, next_robot
-from .kernel import TableEdge, table_kernel
+from .kernel import table_kernel
 from .model import (
     Action,
     IllegalActionError,
@@ -25,7 +25,6 @@ from .model import (
     Observation,
     legal_actions,
     observe,
-    sample_outcome,
     table_from_observation,
 )
 from .rewards import table_transition_outcomes
@@ -58,41 +57,22 @@ def step_joint(
 
     Observes the tables, reads the action's joint edge from :mod:`.kernel`
     (one node lookup, which raises :class:`.model.IllegalActionError` on an
-    illegal action) and samples it with :func:`edge_sample`; the robot and
+    illegal action) and samples it with its ``sample``; the robot and
     observations are the next node's. ``harness.run_episode`` runs the same
     step on a node it already holds, without the lookup or the states.
     """
     observables = tuple(observe(ts) for ts in js.tables)
-    duration, nxt, _, edges = table_kernel(cfg).step(js.robot, observables, action)
-    sats, rewards = edge_sample(edges, tuple(ts.satisfaction for ts in js.tables), rng)
+    edge = table_kernel(cfg).step(js.robot, observables, action)
+    nxt = edge.next
+    sats, rewards = edge.sample(tuple(ts.satisfaction for ts in js.tables), rng)
     tables = tuple(table_from_observation(o, s) for o, s in zip(nxt.observables, sats))
     return JointStepResult(
-        next=JointState(robot=nxt.robot, tables=tables, clock=js.clock + duration),
+        next=JointState(robot=nxt.robot, tables=tables, clock=js.clock + edge.duration),
         obs=nxt.observables,
         reward=float(math.fsum(rewards)),
-        duration=duration,
+        duration=edge.duration,
         table_rewards=rewards,
     )
-
-
-def edge_sample(
-    tables: tuple[TableEdge, ...],
-    satisfactions: tuple[int, ...],
-    rng: np.random.Generator,
-) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """Next satisfactions and per-table rewards along one joint edge.
-
-    Each table draws its outcome from the rows of its table edge in
-    ``tables`` (a joint edge's last field) at its satisfaction, in table
-    order; only a table with more than one row consumes a draw from ``rng``.
-    """
-    sats: list[int] = []
-    rewards: list[float] = []
-    for edge, sat in zip(tables, satisfactions):
-        ns, _, r = sample_outcome(edge.rows[sat], rng)
-        sats.append(ns)
-        rewards.append(r)
-    return tuple(sats), tuple(rewards)
 
 
 def enumerate_joint_transitions(

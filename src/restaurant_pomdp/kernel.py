@@ -19,14 +19,14 @@ an edge is bit-identical to computing it from the model directly.
 
 Table edges compose into one graph of observable joint states. A
 :class:`JointNode` is keyed by ``(robot, observables)`` and holds its sorted
-legal actions and, per action, a joint edge ``(duration, next, outcomes,
-tables)``: the next node, the tables' edges in table order and their
-outcomes over joint satisfaction codes (see :meth:`TableKernel.joint_edge`),
-each filled on first use. The expected reward, the filter and the
-simulator, called one step at a time (``rewards.expected_reward``,
-``belief.belief_predict``, ``joint.step_joint``), do one node lookup plus
-one edge read with :meth:`TableKernel.step`. The episode loop of ``harness.run_episode`` and the
-planners (greedy, UCT and expectimax) look up their start node once and
+legal actions and, per action, a :class:`JointEdge`: the next node, the
+tables' edges in table order and their outcomes over joint satisfaction
+codes, each filled on first use. The edge's methods are the expected
+reward, the filter's propagation and the simulator; called one step at a
+time (``rewards.expected_reward``, ``belief.belief_predict``,
+``joint.step_joint``), they follow one node lookup with
+:meth:`TableKernel.step`. The episode loop of ``harness.run_episode`` and
+the planners (greedy, UCT and expectimax) look up their start node once and
 follow edges by pointer from there with :meth:`TableKernel.follow` or the
 node's ``edges``; expectimax's last ply reads the edges the way greedy
 does, for the expected reward only. The oracles in :mod:`.checks`,
@@ -57,6 +57,7 @@ from .model import (
     legal_actions,
     manhattan,
     observe,
+    sample_outcome,
     table_from_observation,
 )
 
@@ -99,48 +100,47 @@ class JointNode:
         self.edges: list | None = None
 
 
-# Joint satisfaction vectors are encoded little-endian into one integer; an
-# edge's outcome table over these codes is filled on first use of each code.
+class JointEdge(dict):
+    """One action from one joint node, composed of the tables' edges.
 
-
-class _LazyTable(dict):
-    """One joint edge's outcome per joint satisfaction code, filled on demand.
-
-    It is the joint edge's ``outcomes`` field, and ``j`` is the edge's serve
-    target, ``None`` unless the action serves a table. With no serve target
-    the outcome is ``(next_code, reward)``: every table then has one row per
-    satisfaction level, as :meth:`TableKernel._fill` rejects a second outcome
-    on any event but a serve. With one, the outcome
-    is the sampling rows ``(cum, next_code, reward)``: the other tables' rows
-    folded around the target's, whose probabilities become cumulative
-    thresholds, the last forced to infinity so a uniform draw always selects
-    a row.
+    ``duration`` is the action's, ``next`` the next node, ``tables`` the
+    tables' edges in table order and ``serve`` the served table or ``None``.
+    Its methods are the only readers of the table edges' rows. As a dict it
+    maps a joint satisfaction code (levels little-endian) to its outcome,
+    filled on first use: ``(next_code, reward)`` with no serve, as
+    :meth:`TableKernel._fill` rejects a second row on any event but a serve;
+    with one, the sampling rows ``(cum, next_code, reward)``, the other
+    tables' rows folded around the served table's, whose probabilities become
+    cumulative thresholds, the last forced to infinity so a uniform draw
+    always selects a row. An edge with no code filled yet is false, so a
+    node's edge slot is tested with ``is None``.
     """
 
-    __slots__ = ("edges", "k", "j")
+    __slots__ = ("duration", "next", "tables", "serve")
 
-    def __init__(self, edges: tuple[TableEdge, ...], k: int, j: int | None) -> None:
+    def __init__(self, duration: int, nxt: JointNode, tables: tuple, serve: int | None) -> None:
         super().__init__()
-        self.edges = edges
-        self.k = k
-        self.j = j
+        self.duration = duration
+        self.next = nxt
+        self.tables = tables
+        self.serve = serve
 
     def __missing__(self, code: int):
-        k = self.k
+        k = len(self.tables[0].rows)
         next_code = 0
         reward = 0.0
         mult = 1
         c = code
-        for i, e in enumerate(self.edges):
+        for i, e in enumerate(self.tables):
             c, s = c // k, c % k
-            if i == self.j:
+            if i == self.serve:
                 j_mult, j_rows = mult, e.rows[s]
             else:
                 s_next, _, r = e.rows[s][0]
                 next_code += s_next * mult
                 reward += r
             mult *= k
-        if self.j is None:
+        if self.serve is None:
             out = self[code] = (next_code, reward)
             return out
         rows = []
@@ -151,6 +151,64 @@ class _LazyTable(dict):
         rows[-1] = (math.inf, *rows[-1][1:])
         out = self[code] = tuple(rows)
         return out
+
+    def expected_reward(self, observables: tuple, satisfaction: tuple) -> float:
+        """Expected reward under per-table satisfaction vectors.
+
+        Sums the tables' expected rewards weighted by their vectors;
+        departed tables add nothing. ``observables`` are the source node's.
+        """
+        total = 0.0
+        for obs, vec, edge in zip(observables, satisfaction, self.tables):
+            if obs.hand_raise == 0:
+                continue
+            er = edge.expected
+            for sat, p in enumerate(vec):
+                if p == 0.0:
+                    continue
+                total += p * er[sat]
+        return total
+
+    def predict(self, observables: tuple, satisfaction: tuple) -> tuple[tuple[float, ...], ...]:
+        """Per-table satisfaction vectors after the edge.
+
+        Each active table's vector is propagated through its table edge's
+        rows; a departed table's is kept as it is. An active table whose
+        vector has no mass raises :class:`.model.ModelInvariantError`.
+        """
+        new_vecs: list[tuple[float, ...]] = []
+        for i, (obs, vec, edge) in enumerate(zip(observables, satisfaction, self.tables)):
+            if obs.hand_raise == 0:
+                new_vecs.append(vec)
+                continue
+            rows = edge.rows
+            out = [0.0] * len(vec)
+            has_mass = False
+            for sat, p in enumerate(vec):
+                if p == 0.0:
+                    continue
+                has_mass = True
+                for ns, q, _ in rows[sat]:
+                    out[ns] += p * q
+            if not has_mass:
+                raise ModelInvariantError(f"table {i}: belief vector has no mass")
+            new_vecs.append(tuple(out))
+        return tuple(new_vecs)
+
+    def sample(self, satisfactions: tuple, rng) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """Next satisfactions and per-table rewards along the edge.
+
+        Each table draws from its table edge's rows at its satisfaction, in
+        table order, with :func:`.model.sample_outcome`; only a table with
+        more than one row consumes a draw from ``rng``.
+        """
+        sats: list[int] = []
+        rewards: list[float] = []
+        for edge, sat in zip(self.tables, satisfactions):
+            ns, _, r = sample_outcome(edge.rows[sat], rng)
+            sats.append(ns)
+            rewards.append(r)
+        return tuple(sats), tuple(rewards)
 
 
 class TableKernel:
@@ -238,15 +296,10 @@ class TableKernel:
             node.edges = [None] * len(node.actions)
         return node.actions
 
-    def joint_edge(self, node: JointNode, idx: int) -> tuple:
-        """The joint edge of the node's ``idx``-th action, built on first use.
+    def joint_edge(self, node: JointNode, idx: int) -> JointEdge:
+        """The :class:`JointEdge` of the node's ``idx``-th action, built on first use.
 
         The node's actions must have been filled.
-
-        The edge is ``(duration, next, outcomes, tables)``: ``next`` is the
-        next node, ``tables`` the tables' edges in table order and
-        ``outcomes`` their :class:`_LazyTable` over satisfaction codes, whose
-        ``j`` is the serve target (``None`` on a deterministic edge).
         """
         action = node.actions[idx]
         robot = node.robot
@@ -258,12 +311,11 @@ class TableKernel:
         nxt = self.node(
             next_robot(robot, action, self.cfg), tuple(e.next_obs for e in tables)
         )
-        j = action.table if action.kind is ActionKind.SERVE else None
-        edge = (duration, nxt, _LazyTable(tables, self.cfg.sat_max + 1, j), tables)
-        node.edges[idx] = edge
+        served = action.table if action.kind is ActionKind.SERVE else None
+        edge = node.edges[idx] = JointEdge(duration, nxt, tables, served)
         return edge
 
-    def follow(self, node: JointNode, action: Action) -> tuple:
+    def follow(self, node: JointNode, action: Action) -> JointEdge:
         """The joint edge of ``action`` from ``node``, built on first use.
 
         Raises :class:`.model.IllegalActionError` if the action is not legal.
@@ -272,11 +324,11 @@ class TableKernel:
             idx = (node.actions or self.actions(node)).index(action)
         except ValueError:
             raise IllegalActionError(f"{action} is not legal in this state") from None
-        return node.edges[idx] or self.joint_edge(node, idx)
+        return self.joint_edge(node, idx) if node.edges[idx] is None else node.edges[idx]
 
     def step(
         self, robot: RobotState, observables: tuple[Observation, ...], action: Action
-    ) -> tuple:
+    ) -> JointEdge:
         """The joint edge of ``action`` from ``(robot, observables)``.
 
         One node lookup, then :meth:`follow`.

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import Belief, edge_predict
+from .belief import Belief
 from .config import ConfigError, RestaurantConfig
 from .kernel import JointNode, TableEdge, TableKernel, table_kernel
 from .model import (
@@ -26,7 +26,6 @@ from .model import (
     serve,
     serve_blocked,
 )
-from .rewards import edge_expected_reward
 
 POLICY_KINDS = ("random", "fcfs", "greedy", "mcts", "expectimax")
 
@@ -127,9 +126,10 @@ def act_greedy(b: Belief, cfg: RestaurantConfig) -> Action:
 
 
 def _greedy_scan(kernel: TableKernel, node: JointNode, sat: tuple) -> tuple[Action, float]:
-    """First strict argmax of :func:`.rewards.edge_expected_reward` and its value.
+    """First strict argmax of the joint edges' expected reward, and its value.
 
-    Scans the node's joint edges in the fixed action order.
+    Scans the node's joint edges in the fixed action order, scoring each with
+    :meth:`.kernel.JointEdge.expected_reward`.
     """
     observables = node.observables
     acts = node.actions or kernel.actions(node)
@@ -137,8 +137,8 @@ def _greedy_scan(kernel: TableKernel, node: JointNode, sat: tuple) -> tuple[Acti
     best_action = acts[0]
     best_value = -math.inf
     for idx, a in enumerate(acts):
-        tables = (edges[idx] or kernel.joint_edge(node, idx))[3]
-        value = edge_expected_reward(observables, sat, tables)
+        edge = kernel.joint_edge(node, idx) if edges[idx] is None else edges[idx]
+        value = edge.expected_reward(observables, sat)
         if value > best_value:
             best_action, best_value = a, value
     return best_action, best_value
@@ -148,7 +148,7 @@ def _greedy_scan(kernel: TableKernel, node: JointNode, sat: tuple) -> tuple[Acti
 
 
 def _require_mass(node: JointNode, sat: tuple) -> None:
-    """Raise as :func:`.belief.edge_predict` does on an active table's massless vector."""
+    """Raise as :meth:`.kernel.JointEdge.predict` does on an active table's massless vector."""
     for i, (obs, vec) in enumerate(zip(node.observables, sat)):
         if obs.hand_raise != 0 and not any(vec):
             raise ModelInvariantError(f"table {i}: belief vector has no mass")
@@ -165,13 +165,13 @@ def value_expectimax(
     the kernel's joint-state graph plus its satisfaction vectors. The
     recursion looks up the root node once and then follows each action's
     joint edge to the next node: ``E(reward)`` is the edge's
-    :func:`.rewards.edge_expected_reward`, the sum greedy maximizes, and the
-    next vectors are its :func:`.belief.edge_predict`, the propagation of
-    :func:`.belief.belief_predict`. With one ply left the next value is zero,
-    so the last ply is greedy's scan: it propagates no belief, and depth-1
-    expectimax returns greedy's action and its expected reward bit for bit.
-    A last-ply belief is still checked for an active table's massless
-    vector, which :func:`.belief.edge_predict` would have rejected. Returns
+    :meth:`~.kernel.JointEdge.expected_reward`, the sum greedy maximizes, and
+    the next vectors are its :meth:`~.kernel.JointEdge.predict`, the
+    propagation of :func:`.belief.belief_predict`. With one ply left the next
+    value is zero, so the last ply is greedy's scan: it propagates no belief,
+    and depth-1 expectimax returns greedy's action and its expected reward
+    bit for bit. A last-ply belief is still checked for an active table's
+    massless vector, which ``predict`` would have rejected. Returns
     the optimal root action (``None`` at depth 0 or when every table is done)
     and the value.
     """
@@ -198,11 +198,10 @@ def value_expectimax(
         best_action: Action | None = None
         best_value = -math.inf
         for idx, a in enumerate(acts):
-            edge = edges[idx] or joint_edge(node, idx)
-            tables = edge[3]
-            er = edge_expected_reward(observables, sat, tables)
-            next_sat = edge_predict(observables, sat, tables)
-            value = er + gamma ** edge[0] * rec(edge[1], next_sat, remaining - 1)[1]
+            edge = joint_edge(node, idx) if edges[idx] is None else edges[idx]
+            er = edge.expected_reward(observables, sat)
+            next_sat = edge.predict(observables, sat)
+            value = er + gamma**edge.duration * rec(edge.next, next_sat, remaining - 1)[1]
             if value > best_value:
                 best_action, best_value = a, value
         memo[key] = (best_action, best_value)
@@ -255,7 +254,7 @@ class _StoreView:
     @property
     def table_edges(self) -> list[TableEdge]:
         """The distinct table edges the built joint edges are made of."""
-        distinct = {id(e): e for edge in self.joint_edges.values() for e in edge[3]}
+        distinct = {id(e): e for edge in self.joint_edges.values() for e in edge.tables}
         return list(distinct.values())
 
 
@@ -300,7 +299,8 @@ def mcts_search(
     ``max_depth`` actions: by UCB1 while in the tree, and uniformly at random
     (the rollout) from the first node not yet expanded, which it expands.
     Recommendation is by visit count; ties break by the fixed action ordering.
-    An active table's massless vector raises :class:`.model.ModelInvariantError`.
+    An active table's massless vector raises :class:`.model.ModelInvariantError`;
+    a departed table's is searched as a point mass, which never draws.
     """
     internal = random.Random(int(rng.integers(2**63)))
     rand = internal.random
@@ -311,9 +311,13 @@ def mcts_search(
     sqrt, log = math.sqrt, math.log
     k = cfg.sat_max + 1
     gamma_pow = {d: cfg.gamma**d for d in range(1, cfg.duration_max_nav + 1)}
-    supports = [tuple((s, p) for s, p in enumerate(vec) if p > 0.0) for vec in b.satisfaction]
     root_state = kernel.node(b.robot, b.observables)
     _require_mass(root_state, b.satisfaction)
+    # A departed table's edges keep every level and pay 0: a massless one takes level 0.
+    supports = [
+        tuple((s, p) for s, p in enumerate(vec) if p > 0.0) or ((0, 1.0),)
+        for vec in b.satisfaction
+    ]
     root = _Node()
     for _ in range(budget):
         code = 0
@@ -350,26 +354,27 @@ def mcts_search(
                     node.expand(n_acts)
                     node = None
                 idx = randrange(n_acts)
-            edge = state.edges[idx] or joint_edge(state, idx)
-            outcomes = edge[2]
-            if outcomes.j is None:
-                code, r = outcomes[code]
+            edge = state.edges[idx]
+            if edge is None:
+                edge = joint_edge(state, idx)
+            if edge.serve is None:
+                code, r = edge[code]
             else:
                 u = rand()
-                for cum, next_code, r in outcomes[code]:
+                for cum, next_code, r in edge[code]:
                     if u < cum:
                         break
                 code = next_code
             if node is None:
                 tail += discount * r
-                discount *= gamma_pow[edge[0]]
+                discount *= gamma_pow[edge.duration]
             else:
                 child = node.children[idx]
                 if child is None:
                     child = node.children[idx] = _Node()
-                path.append((node, idx, r, edge[0]))
+                path.append((node, idx, r, edge.duration))
                 node = child
-            state = edge[1]
+            state = edge.next
         value = tail
         for nd, idx, r, duration in reversed(path):
             value = r + gamma_pow[duration] * value

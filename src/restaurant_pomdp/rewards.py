@@ -23,11 +23,10 @@ from typing import TYPE_CHECKING
 
 from .config import RestaurantConfig
 from .dynamics import tick_table, transition_distribution
-from .kernel import TableEdge, table_kernel
+from .kernel import table_kernel
 from .model import (
     Action,
     ActionKind,
-    Observation,
     RobotState,
     TableState,
     manhattan,
@@ -111,30 +110,7 @@ def expected_reward(b: Belief, action: Action, cfg: RestaurantConfig) -> float:
 
     Reads the action's joint edge from :mod:`.kernel`, which raises
     :class:`.model.IllegalActionError` on an illegal action, and sums it with
-    :func:`edge_expected_reward`.
+    its :meth:`.kernel.JointEdge.expected_reward`.
     """
-    tables = table_kernel(cfg).step(b.robot, b.observables, action)[3]
-    return edge_expected_reward(b.observables, b.satisfaction, tables)
-
-
-def edge_expected_reward(
-    observables: tuple[Observation, ...],
-    satisfaction: tuple[tuple[float, ...], ...],
-    tables: tuple[TableEdge, ...],
-) -> float:
-    """Expected reward of one joint edge under per-table satisfaction vectors.
-
-    Sums, over tables and satisfaction values, the probability-weighted
-    accrued rewards of every transition outcome of the tables' edges
-    ``tables`` (a joint edge's last field); departed tables add nothing.
-    """
-    total = 0.0
-    for obs, vec, edge in zip(observables, satisfaction, tables):
-        if obs.hand_raise == 0:
-            continue
-        er = edge.expected
-        for sat, p in enumerate(vec):
-            if p == 0.0:
-                continue
-            total += p * er[sat]
-    return total
+    edge = table_kernel(cfg).step(b.robot, b.observables, action)
+    return edge.expected_reward(b.observables, b.satisfaction)

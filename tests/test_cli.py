@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from restaurant_pomdp import cli
 from restaurant_pomdp.cli import main
 from restaurant_pomdp.config import config_to_json, scenario_two_tables
 
@@ -155,6 +156,44 @@ def test_compare_single_policy(tmp_path):
 
 def test_compare_without_policies_exits_two(tmp_path):
     assert main(["compare", "--scenario", "two-tables", "--out", str(tmp_path / "c")]) == 2
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+@pytest.mark.parametrize("flag,value", [("--episodes", "0"), ("--workers", "0"), ("--workers", "-2")])
+def test_counts_below_one_exit_two(command, flag, value, tmp_path, capsys):
+    code = main([
+        command, "--scenario", "small-1table", "--policy", "fcfs",
+        "--episodes", "2", flag, value, "--out", str(tmp_path / "m.csv"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert flag in err
+
+
+@pytest.mark.parametrize(
+    "diff,z",
+    [((0.0, 0.0), "z=0.00"), ((2.5, 0.0), "z=inf"), ((-2.5, 0.0), "z=-inf"), ((1.0, 0.5), "z=2.00")],
+)
+def test_compare_z_keeps_the_sign_and_reads_zero_for_no_difference(
+    diff, z, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli, "paired_difference", lambda a, b: diff)
+    code = main([
+        "compare", "--scenario", "small-1table", "--policy", "fcfs", "--policy", "greedy",
+        "--episodes", "2", "--out", str(tmp_path / "c.csv"),
+    ])
+    assert code == 0
+    assert f" {z}\n" in capsys.readouterr().out
+
+
+def test_compare_a_policy_with_itself_reports_z_zero(tmp_path, capsys):
+    code = main([
+        "compare", "--scenario", "small-1table", "--policy", "greedy", "--policy", "greedy",
+        "--episodes", "3", "--out", str(tmp_path / "c.csv"),
+    ])
+    assert code == 0
+    assert "greedy - greedy: paired_diff=0.0000 se=0.0000 z=0.00\n" in capsys.readouterr().out
 
 
 def test_verify_passes_on_default_instance(capsys):

@@ -23,6 +23,7 @@ GOLDEN = {
     ("paper-3tables", "mcts:budget=200", 0): "ba1eaf7499c47007da11757a89f9004c12c8549662c88858705fb55decc22909",
     ("small-1table", "mcts:budget=200", 0): "cd170f1eaf69bec7ded761cb1110d0192ebe6d4c502948eda9282b95fd3a2325",
     ("two-tables", "mcts:budget=200", 0): "72dbeb965ad6fda9c8aeb06fdcf3da024f5e2521ec71f6974bc1704b5a4f4e7a",
+    ("two-tables", "mcts:budget=60,max_depth=3,exploration=5", 0): "55d6c91fd3d8e760ed208c62a6ded42306ae976fa086937f77326e0223666e87",
     ("two-tables", "expectimax", 0): "bf3afea9bbbbca458b9cce3692be528d7b044aace35e69babb48db3793003ba5",
     ("small-1table", "expectimax", 0): "44d74b39f600fc4cda2a95268d99fa428422a6a9eed2ba09057f507e6f668682",
     ("paper-3tables", "expectimax:depth=2", 0): "e6e931d0f8e4037213370f1948caebfbdc2911e2320bc9884884220163e0c290",

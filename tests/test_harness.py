@@ -178,9 +178,10 @@ def reference_episode(spec: PolicySpec, cfg: RestaurantConfig, seed: int) -> Epi
     while js.clock < cfg.horizon and not all_done(js):
         action = policy.act(belief, pol_rng)
         observables = tuple(observe(ts) for ts in js.tables)
-        duration, nxt, _, edges = table_kernel(cfg).step(js.robot, observables, action)
+        joint_edge = table_kernel(cfg).step(js.robot, observables, action)
+        duration, nxt = joint_edge.duration, joint_edge.next
         tables, rewards = [], []
-        for ts, edge, obs in zip(js.tables, edges, nxt.observables):
+        for ts, edge, obs in zip(js.tables, joint_edge.tables, nxt.observables):
             ns, _, r = sample_outcome(edge.rows[ts.satisfaction], dyn_rng)
             tables.append(table_from_observation(obs, ns))
             rewards.append(r)

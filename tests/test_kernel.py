@@ -7,6 +7,8 @@ composed of those very table edges.
 """
 
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from restaurant_pomdp.belief import belief_init, belief_predict
 from restaurant_pomdp.dynamics import action_duration, next_robot
 from restaurant_pomdp.harness import replay_actions, run_episode
 from restaurant_pomdp.joint import step_joint
-from restaurant_pomdp.kernel import table_kernel
+from restaurant_pomdp.kernel import JointEdge, table_kernel
 from restaurant_pomdp.model import (
     NOOP,
     ActionKind,
@@ -93,8 +95,10 @@ def test_edges_match_model_on_small_configs(cfg, seed):
 
 
 def assert_joint_edges_compose_table_edges(cfg, states) -> int:
-    """Each legal action's joint edge: its duration, next robot, serve target and table edges."""
+    """Each legal action's joint edge: its duration, next robot, serve target,
+    table edges and its outcome at every joint satisfaction code."""
     kernel = table_kernel(cfg)
+    k = cfg.sat_max + 1
     checked = 0
     for js in states:
         observables = tuple(observe(ts) for ts in js.tables)
@@ -102,16 +106,41 @@ def assert_joint_edges_compose_table_edges(cfg, states) -> int:
         assert kernel.actions(node) == tuple(sorted(legal_actions(js, cfg), key=action_sort_key))
         for action in node.actions:
             edge = kernel.step(js.robot, observables, action)
-            assert len(edge) == 4
-            duration, nxt, outcomes, tables = edge
-            assert outcomes.j == (action.table if action.kind is ActionKind.SERVE else None)
-            assert duration == action_duration(js.robot, action, cfg)
-            assert nxt.robot == next_robot(js.robot, action, cfg)
-            assert nxt.observables == tuple(e.next_obs for e in tables)
+            assert isinstance(edge, JointEdge)
+            assert edge.serve == (action.table if action.kind is ActionKind.SERVE else None)
+            assert edge.duration == action_duration(js.robot, action, cfg)
+            assert edge.next.robot == next_robot(js.robot, action, cfg)
+            assert edge.next.observables == tuple(e.next_obs for e in edge.tables)
             for i, obs in enumerate(observables):
-                assert tables[i] is kernel.edge(obs, action, duration, js.robot, i)
+                assert edge.tables[i] is kernel.edge(obs, action, edge.duration, js.robot, i)
+            for levels in itertools.product(range(k), repeat=len(observables)):
+                assert_code_outcome(edge, levels, k)
             checked += 1
     return checked
+
+
+def encode(levels, k) -> int:
+    return sum(s * k**i for i, s in enumerate(levels))
+
+
+def assert_code_outcome(edge, levels, k) -> None:
+    """``edge[code]`` against the tables' rows at the code's levels."""
+    outcome = edge[encode(levels, k)]
+    if edge.serve is None:
+        # A deterministic edge draws nothing, so it needs no generator.
+        sats, rewards = edge.sample(levels, None)
+        next_code, reward = outcome
+        assert next_code == encode(sats, k)
+        assert reward.hex() == sum(rewards).hex()
+        return
+    j = edge.serve
+    rows = edge.tables[j].rows[levels[j]]
+    assert len(outcome) == len(rows)
+    acc = 0.0
+    for (cum, _, _), (_, p, _) in zip(outcome[:-1], rows):
+        acc += p
+        assert cum == acc
+    assert outcome[-1][0] == math.inf
 
 
 @settings(max_examples=25, deadline=None)
@@ -144,11 +173,15 @@ def test_every_joint_step_rejects_an_illegal_action(two_cfg):
 
 
 def test_follow_is_step_without_the_lookup(two_cfg):
-    kernel = table_kernel(two_cfg)
-    b = belief_init(two_cfg)
+    """Each edge is built once, even while its code table is empty (and so false)."""
+    cfg = dataclasses.replace(two_cfg, horizon=31)  # a config no other test uses
+    kernel = table_kernel(cfg)
+    b = belief_init(cfg)
     node = kernel.node(b.robot, b.observables)
     for action in kernel.actions(node):
-        assert kernel.follow(node, action) is kernel.step(b.robot, b.observables, action)
+        edge = kernel.follow(node, action)
+        assert not edge
+        assert edge is kernel.step(b.robot, b.observables, action)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import restaurant_pomdp
 from restaurant_pomdp.config import RestaurantConfig, validate_config
 from restaurant_pomdp.joint import step_joint
 from restaurant_pomdp.model import (
@@ -142,3 +146,15 @@ def test_positions_always_inside_grid(data):
         )
     )
     assert cfg.table_positions[0] == (x, y)
+
+
+def test_source_holds_no_assert():
+    """Model invariants are explicit errors, so they still hold under ``python -O``."""
+    package = Path(restaurant_pomdp.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

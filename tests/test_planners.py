@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from restaurant_pomdp import planners
-from restaurant_pomdp.belief import Belief, belief_init, belief_predict, edge_predict, observe
+from restaurant_pomdp.belief import Belief, belief_init, belief_predict, observe
 from restaurant_pomdp.config import SCENARIOS, ConfigError, validate_config
 from restaurant_pomdp.harness import run_episode
-from restaurant_pomdp.kernel import table_kernel
+from restaurant_pomdp.kernel import JointEdge, table_kernel
 from restaurant_pomdp.model import (
     ActionKind,
     JointState,
@@ -299,12 +299,13 @@ def test_expectimax_last_ply_propagates_no_belief(two_cfg, monkeypatch):
     """Only plies with a next value propagate beliefs: none at depth 1, one
     per root action at depth 2."""
     calls = []
+    predict = JointEdge.predict
 
-    def counting_edge_predict(*args):
+    def counting_predict(*args):
         calls.append(args)
-        return edge_predict(*args)
+        return predict(*args)
 
-    monkeypatch.setattr(planners, "edge_predict", counting_edge_predict)
+    monkeypatch.setattr(JointEdge, "predict", counting_predict)
     b = belief_init(two_cfg)
     value_expectimax(b, 1, two_cfg)
     assert calls == []
@@ -462,7 +463,7 @@ def test_mcts_reads_table_edges_only_from_the_kernel(two_cfg):
     kernel_edges = {id(e) for e in kernel.edges.values()}
     assert all(id(e) in kernel_edges for e in caches.table_edges)
     nodes = {id(node) for node in kernel.nodes.values()}
-    assert all(id(edge[1]) in nodes for edge in caches.joint_edges.values())
+    assert all(id(edge.next) in nodes for edge in caches.joint_edges.values())
 
 
 def test_mcts_is_independent_of_the_store(two_cfg, monkeypatch):
@@ -524,6 +525,24 @@ def test_mcts_rejects_a_massless_belief(two_cfg):
     b = Belief(base.robot, base.observables, (massless, base.satisfaction[1]))
     with pytest.raises(ModelInvariantError, match="table 0: belief vector has no mass"):
         mcts_search(b, two_cfg, 20, np.random.default_rng(0), max_depth=3)
+
+
+@pytest.mark.parametrize("budget,max_depth", [(60, 3), (200, 10)])
+def test_mcts_searches_a_departed_massless_table_as_a_point_mass(two_cfg, budget, max_depth):
+    """A departed table's edges keep every level and pay 0: a massless vector
+    there searches like a point mass at any level, and draws nothing more."""
+    base = belief_init(two_cfg)
+    departed = dataclasses.replace(base.observables[0], hand_raise=0)
+    observables = (departed, base.observables[1])
+
+    def search(vec):
+        b = Belief(base.robot, observables, (vec, base.satisfaction[1]))
+        return mcts_search(b, two_cfg, budget, np.random.default_rng(5), max_depth=max_depth)
+
+    k = two_cfg.sat_max + 1
+    massless = search((0.0,) * k)
+    for level in (0, k - 1):
+        assert search(tuple(float(s == level) for s in range(k))) == massless
 
 
 def test_mcts_error_decreases_with_budget(small_cfg):
