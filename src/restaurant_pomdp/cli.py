@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 
 from .checks import DEFAULT_STATE_CAP, run_verify
 from .config import (
@@ -112,11 +113,21 @@ def resolve_config(args: argparse.Namespace) -> RestaurantConfig:
     return cfg
 
 
+@contextmanager
+def _writing(path: str):
+    """Report a failure to write ``path`` as a config error, as for ``--config``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     spec = parse_policy_spec(args.policy)
     trace = run_episode(spec, cfg, cfg.seed)
-    write_trace_jsonl(trace, args.out)
+    with _writing(args.out):
+        write_trace_jsonl(trace, args.out)
     print(f"episode seed={cfg.seed} steps={len(trace.steps)}")
     print(f"discounted_return={trace.discounted_return!r}")
     print(f"trace written to {args.out}")
@@ -134,7 +145,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _check_counts(args)
     spec = parse_policy_spec(args.policy)
     metrics = evaluate(spec, cfg, args.episodes, cfg.seed, workers=args.workers)
-    append_metrics_csv(args.out, args.policy, cfg.seed, metrics)
+    with _writing(args.out):
+        append_metrics_csv(args.out, args.policy, cfg.seed, metrics)
     print(",".join(METRICS_COLUMNS))
     print(metrics_csv_row(args.policy, cfg.seed, metrics))
     return EXIT_OK
@@ -152,7 +164,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         returns = [s.discounted_return for s in summaries]
         results.append((label, aggregate(summaries, cfg.n_tables), returns))
     results.sort(key=lambda item: -item[1].mean_return)
-    with open(args.out, "w") as fh:
+    with _writing(args.out), open(args.out, "w") as fh:
         fh.write(",".join(METRICS_COLUMNS) + "\n")
         for label, metrics, _ in results:
             fh.write(metrics_csv_row(label, cfg.seed, metrics) + "\n")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 
@@ -237,11 +237,16 @@ def config_from_dict(doc: dict[str, Any]) -> RestaurantConfig:
 
 
 def config_to_dict(cfg: RestaurantConfig) -> dict[str, Any]:
+    """A fresh plain dict of ``cfg``, its tuples as new lists.
+
+    Built field by field: ``dataclasses.asdict`` recurses and deep-copies.
+    """
     cfg = validate_config(cfg)
-    doc = asdict(cfg)
+    doc = {key: getattr(cfg, key) for key in _CONFIG_KEYS}
     doc["table_positions"] = [list(p) for p in cfg.table_positions]
     doc["robot_start"] = list(cfg.robot_start)
-    doc["satisfaction_prior"] = list(cfg.satisfaction_prior or ())
+    doc["satisfaction_prior"] = list(cfg.satisfaction_prior)
+    doc["reward"] = {key: getattr(cfg.reward, key) for key in _REWARD_KEYS}
     doc["reward"]["penalty_bases"] = list(cfg.reward.penalty_bases)
     return doc
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -235,9 +236,11 @@ def run_batch(
     """Summaries for episodes seeded ``base_seed .. base_seed + episodes - 1``."""
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     cfg = validate_config(cfg)
     jobs = [(spec, cfg, seed) for seed in range(base_seed, base_seed + episodes)]
-    if workers <= 1:
+    if workers == 1:
         return [_episode_summary(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_episode_summary, jobs, chunksize=8))
@@ -272,23 +275,41 @@ def paired_difference(a: list[float], b: list[float]) -> tuple[float, float]:
 # --- Trace serialization (JSON lines, one step per line) ----------------------
 
 
-def _action_to_doc(action: Action) -> dict:
-    doc: dict = {"kind": action.kind.value}
-    if action.table is not None:
-        doc["table"] = action.table
-    return doc
-
-
 def _action_from_doc(doc: dict) -> Action:
     return Action(ActionKind(doc["kind"]), doc.get("table"))
 
 
-# Read field by field: ``dataclasses.asdict`` recurses and deep-copies.
-_OBSERVATION_FIELDS = tuple(f.name for f in fields(Observation))
-
-
 def _dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+# Step lines are formatted from text templates with the keys in sorted order,
+# so they read as ``_dumps`` of the step's dict would, byte for byte.
+_OBSERVATION_FIELDS = tuple(sorted(f.name for f in fields(Observation)))
+_OBSERVATION_TEXT = "{" + ",".join(f'"{name}":%r' for name in _OBSERVATION_FIELDS) + "}"
+_observation_values = operator.attrgetter(*_OBSERVATION_FIELDS)
+_STEP_TEXT = (
+    '{"action":%s,"belief":%s,"clock":%r,"discounted_return":%s,"duration":%r,'
+    '"index":%r,"kind":"step","observations":[%s],"reward":%s,'
+    '"satisfactions":%s,"table_rewards":%s}'
+)
+
+
+def _numbers_text(value) -> str:
+    """JSON text of a number, a list of numbers or a list of such lists.
+
+    For ints and finite floats it is Python's repr without spaces. Only the
+    reprs of ``nan`` and ``inf`` hold an ``n``; json spells those ``NaN`` and
+    ``Infinity``.
+    """
+    text = repr(value).replace(" ", "")
+    return json.dumps(value, separators=(",", ":")) if "n" in text else text
+
+
+def _action_text(action: Action) -> str:
+    if action.table is None:
+        return '{"kind":"%s"}' % action.kind.value
+    return '{"kind":"%s","table":%r}' % (action.kind.value, action.table)
 
 
 def write_trace_jsonl(trace: EpisodeTrace, path: str) -> None:
@@ -303,31 +324,46 @@ def write_trace_jsonl(trace: EpisodeTrace, path: str) -> None:
     }
     lines = [_dumps(header)]
     for step in trace.steps:
-        doc = {
-            "kind": "step",
-            "index": step.index,
-            "clock": step.clock,
-            "action": _action_to_doc(step.action),
-            "duration": step.duration,
-            "observations": [
-                {name: getattr(o, name) for name in _OBSERVATION_FIELDS}
-                for o in step.observations
-            ],
-            "satisfactions": list(step.satisfactions),
-            "belief": [list(v) for v in step.belief],
-            "table_rewards": list(step.table_rewards),
-            "reward": step.reward,
-            "discounted_return": step.discounted_return,
-        }
-        lines.append(_dumps(doc))
+        observations = ",".join(
+            _OBSERVATION_TEXT % _observation_values(o) for o in step.observations
+        )
+        lines.append(
+            _STEP_TEXT
+            % (
+                _action_text(step.action),
+                _numbers_text([list(v) for v in step.belief]),
+                step.clock,
+                _numbers_text(step.discounted_return),
+                step.duration,
+                step.index,
+                observations,
+                _numbers_text(step.reward),
+                _numbers_text(list(step.satisfactions)),
+                _numbers_text(list(step.table_rewards)),
+            )
+        )
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_trace_actions(path: str) -> tuple[int, list[Action]]:
-    """Seed and action sequence of a stored trace (enough to replay it)."""
+    """Seed and action sequence of a stored trace (enough to replay it).
+
+    Raises ``ValueError`` naming ``path`` unless the first line is a trace
+    header of schema version :data:`TRACE_SCHEMA_VERSION`.
+    """
     with open(path) as fh:
-        header = json.loads(fh.readline())
+        try:
+            header = json.loads(fh.readline())
+        except json.JSONDecodeError:
+            header = None
+        if not isinstance(header, dict) or header.get("kind") != "header":
+            raise ValueError(f"{path}: the first line is not a trace header")
+        version = header.get("schema_version")
+        if version != TRACE_SCHEMA_VERSION:
+            raise ValueError(
+                f"{path}: trace schema_version {version!r}, expected {TRACE_SCHEMA_VERSION}"
+            )
         actions = [json.loads(line)["action"] for line in fh if line.strip()]
     return header["seed"], [_action_from_doc(a) for a in actions]
 

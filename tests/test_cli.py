@@ -172,6 +172,20 @@ def test_counts_below_one_exit_two(command, flag, value, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command,extra",
+    [("run", []), ("evaluate", ["--episodes", "2"]), ("compare", ["--episodes", "2"])],
+)
+def test_an_unwritable_out_exits_two_naming_the_path(command, extra, tmp_path, capsys):
+    out = tmp_path / "missing" / "out"
+    code = main([
+        command, "--scenario", "small-1table", "--policy", "fcfs", *extra,
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {out}: ")
+
+
+@pytest.mark.parametrize(
     "diff,z",
     [((0.0, 0.0), "z=0.00"), ((2.5, 0.0), "z=inf"), ((-2.5, 0.0), "z=-inf"), ((1.0, 0.5), "z=2.00")],
 )

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, strategies as st
@@ -125,6 +126,20 @@ def test_override_unknown_key_rejected():
     doc = config_to_dict(validate_config(base_cfg()))
     with pytest.raises(ConfigError, match="unknown override key"):
         apply_overrides(doc, ["tables=9"])
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_config_to_dict_is_a_fresh_copy_with_lists(name):
+    cfg = SCENARIOS[name]()
+    want = json.loads(json.dumps(dataclasses.asdict(cfg)))
+    doc = config_to_dict(cfg)
+    assert doc == want
+    for key in ("table_positions", "robot_start", "satisfaction_prior"):
+        doc[key].append(0)
+    doc["table_positions"][0].append(0)
+    doc["reward"]["penalty_bases"].append(3.0)
+    doc["reward"]["serve_scale"] = 0.0
+    assert config_to_dict(cfg) == want
 
 
 def test_scenarios_all_validate():

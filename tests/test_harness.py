@@ -1,13 +1,19 @@
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from restaurant_pomdp import harness
 from restaurant_pomdp.belief import ObservationMismatchError, belief_init, belief_step
-from restaurant_pomdp.config import SCENARIOS, RestaurantConfig, validate_config
+from restaurant_pomdp.config import (
+    SCENARIOS,
+    RestaurantConfig,
+    config_to_dict,
+    validate_config,
+)
 from restaurant_pomdp.harness import (
     EpisodeTrace,
     StepRecord,
@@ -24,8 +30,10 @@ from restaurant_pomdp.harness import (
 )
 from restaurant_pomdp.kernel import table_kernel
 from restaurant_pomdp.model import (
+    Action,
     IllegalActionError,
     JointState,
+    Observation,
     RobotState,
     all_done,
     go_to,
@@ -321,6 +329,13 @@ def test_evaluate_requires_at_least_one_episode(two_cfg):
         evaluate(PolicySpec(kind="random"), two_cfg, 0, 0)
 
 
+@pytest.mark.parametrize("run", [run_batch, evaluate])
+@pytest.mark.parametrize("workers", [0, -2])
+def test_run_batch_and_evaluate_require_at_least_one_worker(two_cfg, run, workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run(PolicySpec(kind="random"), two_cfg, 2, 0, workers=workers)
+
+
 # --- trace serialization -------------------------------------------------------------
 
 
@@ -337,6 +352,23 @@ def test_trace_jsonl_round_trip_and_byte_identity(two_cfg, tmp_path):
     # replayability from the file alone
     visited = replay_actions(two_cfg, seed, actions)
     assert tuple(ts.satisfaction for ts in visited[-1].tables) == trace.steps[-1].satisfactions
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda lines: [],
+        lambda lines: lines[1:],
+        lambda lines: [lines[0].replace('"schema_version":1', '"schema_version":2')] + lines[1:],
+    ],
+    ids=["empty", "starts-with-a-step", "schema-version-2"],
+)
+def test_read_trace_actions_rejects_a_file_without_a_v1_header(two_cfg, tmp_path, edit):
+    path = tmp_path / "t.jsonl"
+    write_trace_jsonl(run_episode(PolicySpec(kind="fcfs"), two_cfg, 0), str(path))
+    path.write_text("".join(line + "\n" for line in edit(path.read_text().splitlines())))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        read_trace_actions(str(path))
 
 
 @pytest.mark.parametrize("policy", ["random", "fcfs"])
@@ -360,3 +392,119 @@ def test_trace_header_carries_config_and_schema(two_cfg, tmp_path):
     assert header["kind"] == "header"
     assert header["config"]["n_tables"] == 2
     assert header["policy"] == "random"
+
+
+# --- trace lines against json.dumps of a dict per line ------------------------------
+
+
+def _action_to_doc(action: Action) -> dict:
+    doc: dict = {"kind": action.kind.value}
+    if action.table is not None:
+        doc["table"] = action.table
+    return doc
+
+
+_OBSERVATION_FIELDS = tuple(f.name for f in dataclasses.fields(Observation))
+
+
+def _dumps(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def reference_write_trace_jsonl(trace: EpisodeTrace, path: str) -> None:
+    """The trace writer as one sorted ``json.dumps`` of a dict per line.
+
+    ``write_trace_jsonl`` formats its lines from templates instead; it must
+    write exactly these bytes.
+    """
+    header = {
+        "schema_version": harness.TRACE_SCHEMA_VERSION,
+        "kind": "header",
+        "seed": trace.seed,
+        "policy": trace.policy,
+        "config": config_to_dict(trace.config),
+        "initial_satisfactions": list(trace.initial_satisfactions),
+        "discounted_return": trace.discounted_return,
+    }
+    lines = [_dumps(header)]
+    for step in trace.steps:
+        doc = {
+            "kind": "step",
+            "index": step.index,
+            "clock": step.clock,
+            "action": _action_to_doc(step.action),
+            "duration": step.duration,
+            "observations": [
+                {name: getattr(o, name) for name in _OBSERVATION_FIELDS}
+                for o in step.observations
+            ],
+            "satisfactions": list(step.satisfactions),
+            "belief": [list(v) for v in step.belief],
+            "table_rewards": list(step.table_rewards),
+            "reward": step.reward,
+            "discounted_return": step.discounted_return,
+        }
+        lines.append(_dumps(doc))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def assert_writes_reference_bytes(trace: EpisodeTrace, directory) -> str:
+    """The trace's text, once it is checked to equal the reference's."""
+    got, want = directory / "got.jsonl", directory / "want.jsonl"
+    write_trace_jsonl(trace, str(got))
+    reference_write_trace_jsonl(trace, str(want))
+    assert got.read_bytes() == want.read_bytes()
+    return got.read_text()
+
+
+@pytest.mark.parametrize(
+    "policy", ["random", "fcfs", "greedy", "expectimax:depth=2", "mcts:budget=60,max_depth=3"]
+)
+@pytest.mark.parametrize("scenario", ["small-1table", "two-tables", "paper-3tables"])
+def test_trace_lines_equal_the_reference(scenario, policy, tmp_path):
+    spec = parse_policy_spec(policy)
+    cfg = SCENARIOS[scenario]()
+    for seed in range(5):
+        assert_writes_reference_bytes(run_episode(spec, cfg, seed), tmp_path)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=small_configs(), seed=st.integers(0, 2**16))
+def test_trace_lines_equal_the_reference_on_small_configs(cfg, seed, tmp_path_factory):
+    trace = run_episode(PolicySpec(kind="random"), cfg, seed)
+    assert_writes_reference_bytes(trace, tmp_path_factory.mktemp("small"))
+
+
+@pytest.mark.parametrize("scenario", ["small-1table", "two-tables", "paper-3tables"])
+def test_a_trace_without_steps_equals_the_reference(scenario, tmp_path):
+    cfg = validate_config(dataclasses.replace(SCENARIOS[scenario](), horizon=0))
+    trace = run_episode(PolicySpec(kind="random"), cfg, 0)
+    assert trace.steps == ()
+    assert len(assert_writes_reference_bytes(trace, tmp_path).splitlines()) == 1
+
+
+SPECIAL_FLOATS = (-0.0, 5e-324, 1e16, 1e-7, math.nan, math.inf, -math.inf)
+
+
+def test_trace_lines_equal_the_reference_on_special_floats(two_cfg, tmp_path):
+    trace = run_episode(PolicySpec(kind="fcfs"), two_cfg, 0)
+    n = len(SPECIAL_FLOATS)
+    steps = tuple(
+        dataclasses.replace(
+            step,
+            belief=tuple(
+                tuple(SPECIAL_FLOATS[(i + t + s) % n] for s in range(len(v)))
+                for t, v in enumerate(step.belief)
+            ),
+            table_rewards=tuple(SPECIAL_FLOATS[(i + t) % n] for t in range(two_cfg.n_tables)),
+            reward=SPECIAL_FLOATS[i % n],
+            discounted_return=SPECIAL_FLOATS[(i + 3) % n],
+        )
+        for i, step in enumerate(trace.steps)
+    )
+    assert len(steps) >= n
+    special = dataclasses.replace(trace, steps=steps, discounted_return=math.nan)
+    text = assert_writes_reference_bytes(special, tmp_path)
+    for spelled in ("-0.0", "5e-324", "1e+16", "1e-07", "NaN", "Infinity", "-Infinity"):
+        assert f":{spelled}," in text
