@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 
@@ -122,9 +123,23 @@ def _writing(path: str):
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+def _check_writable(path: str) -> None:
+    """Fail before any episode runs if ``path`` cannot be written, leaving it as it was.
+
+    Opening for append neither truncates nor changes an existing file; a file
+    the probe creates is removed again.
+    """
+    existed = os.path.lexists(path)
+    with _writing(path):
+        open(path, "a").close()
+        if not existed:
+            os.remove(path)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     spec = parse_policy_spec(args.policy)
+    _check_writable(args.out)
     trace = run_episode(spec, cfg, cfg.seed)
     with _writing(args.out):
         write_trace_jsonl(trace, args.out)
@@ -144,6 +159,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     _check_counts(args)
     spec = parse_policy_spec(args.policy)
+    _check_writable(args.out)
     metrics = evaluate(spec, cfg, args.episodes, cfg.seed, workers=args.workers)
     with _writing(args.out):
         append_metrics_csv(args.out, args.policy, cfg.seed, metrics)
@@ -158,6 +174,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if not args.policy:
         raise ConfigError("compare requires at least one --policy")
     specs = [(label, parse_policy_spec(label)) for label in args.policy]
+    _check_writable(args.out)
     results = []
     for label, spec in specs:
         summaries = run_batch(spec, cfg, args.episodes, cfg.seed, workers=args.workers)

@@ -13,7 +13,6 @@ import json
 import math
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -242,6 +241,9 @@ def run_batch(
     jobs = [(spec, cfg, seed) for seed in range(base_seed, base_seed + episodes)]
     if workers == 1:
         return [_episode_summary(job) for job in jobs]
+    # Imported here: it loads multiprocessing, which a serial run never needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_episode_summary, jobs, chunksize=8))
 

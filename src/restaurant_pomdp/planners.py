@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief import Belief
-from .config import ConfigError, RestaurantConfig
+from .config import ConfigError, RestaurantConfig, _require_int, _require_number
 from .kernel import JointNode, TableEdge, TableKernel, table_kernel
 from .model import (
     Action,
@@ -46,11 +46,12 @@ class PolicySpec:
 def validate_policy_spec(spec: PolicySpec) -> PolicySpec:
     if spec.kind not in POLICY_KINDS:
         raise ConfigError(f"unknown policy kind: {spec.kind!r}")
-    if spec.budget < 1:
+    if _require_int("budget", spec.budget) < 1:
         raise ConfigError("budget must be >= 1")
-    if spec.max_depth < 1 or spec.depth < 1:
+    if _require_int("max_depth", spec.max_depth) < 1 or _require_int("depth", spec.depth) < 1:
         raise ConfigError("search depth must be >= 1")
-    if not (math.isfinite(spec.exploration) and spec.exploration >= 0):
+    exploration = _require_number("exploration", spec.exploration)
+    if not (math.isfinite(exploration) and exploration >= 0):
         raise ConfigError("exploration constant must be finite and >= 0")
     return spec
 
@@ -220,7 +221,12 @@ def value_expectimax(
 # on hidden satisfaction only through those edges' rows, which the edge folds
 # into one lookup per joint satisfaction code; a simulation then reduces to
 # integer satisfaction bookkeeping plus one uniform draw per serve. The search
-# itself keeps only its tree statistics.
+# itself keeps only its tree statistics. What depends only on the root belief
+# or on integers is computed once per search: tables whose support has one
+# level are folded into a base satisfaction code and the others' levels are
+# pre-scaled by their place values, and UCB1's exploration bonus by node
+# visits and inverse square root by action visits are tabulated as the
+# simulations need them, with the same float expressions a step would use.
 
 
 class _StoreView:
@@ -313,18 +319,33 @@ def mcts_search(
     gamma_pow = {d: cfg.gamma**d for d in range(1, cfg.duration_max_nav + 1)}
     root_state = kernel.node(b.robot, b.observables)
     _require_mass(root_state, b.satisfaction)
-    # A departed table's edges keep every level and pay 0: a massless one takes level 0.
-    supports = [
-        tuple((s, p) for s, p in enumerate(vec) if p > 0.0) or ((0, 1.0),)
-        for vec in b.satisfaction
-    ]
+    # A table's level enters the joint code times its place value k**i. A
+    # one-level support never draws, so it is folded into ``base``; the others
+    # carry their levels pre-scaled. A departed table's edges keep every level
+    # and pay 0: a massless one takes level 0.
+    base = 0
+    draws = []
+    place = 1
+    for vec in b.satisfaction:
+        support = tuple((s * place, p) for s, p in enumerate(vec) if p > 0.0) or ((0, 1.0),)
+        if len(support) == 1:
+            base += support[0][0]
+        else:
+            draws.append(support)
+        place *= k
+    # UCB1 terms by integer: bonus_of[n] = exploration * sqrt(log(n)) for a
+    # node visited n times, inv_of[c] = 1 / sqrt(c) for an action taken c
+    # times. Simulation s can read at most n = s - 1 and write c = s, so each
+    # simulation appends one entry to each; entry 0 is never read.
+    bonus_of = [0.0]
+    inv_of = [0.0]
     root = _Node()
-    for _ in range(budget):
-        code = 0
-        mult = 1
-        for support in supports:
-            code += sample_outcome(support, internal)[0] * mult
-            mult *= k
+    for sim in range(1, budget + 1):
+        bonus_of.append(exploration * sqrt(log(sim)))
+        inv_of.append(1.0 / sqrt(sim))
+        code = base
+        for support in draws:
+            code += sample_outcome(support, internal)[0]
         node: _Node | None = root
         state = root_state
         path = []
@@ -335,11 +356,12 @@ def mcts_search(
                 break
             if node is not None and node.na:
                 na = node.na
-                if node.untried < len(na):
-                    idx = node.untried
-                    node.untried += 1
+                untried = node.untried
+                if untried < len(na):
+                    idx = untried
+                    node.untried = untried + 1
                 else:
-                    bonus = exploration * sqrt(log(node.n))
+                    bonus = bonus_of[node.n]
                     q = node.q
                     inv = node.inv_sqrt
                     idx = 0
@@ -372,17 +394,18 @@ def mcts_search(
                 child = node.children[idx]
                 if child is None:
                     child = node.children[idx] = _Node()
-                path.append((node, idx, r, edge.duration))
+                path.append((node, idx, r, gamma_pow[edge.duration]))
                 node = child
             state = edge.next
         value = tail
-        for nd, idx, r, duration in reversed(path):
-            value = r + gamma_pow[duration] * value
-            count = nd.na[idx] + 1
-            nd.na[idx] = count
-            nd.wa[idx] += value
-            nd.q[idx] = nd.wa[idx] / count
-            nd.inv_sqrt[idx] = 1.0 / sqrt(count)
+        for nd, idx, r, g in reversed(path):
+            value = r + g * value
+            na = nd.na
+            count = na[idx] = na[idx] + 1
+            wa = nd.wa
+            w = wa[idx] = wa[idx] + value
+            nd.q[idx] = w / count
+            nd.inv_sqrt[idx] = inv_of[count]
             nd.n += 1
     acts = root_state.actions or actions(root_state)
     visits = root.na or [0] * len(acts)  # a done root is never expanded

@@ -171,11 +171,25 @@ def test_counts_below_one_exit_two(command, flag, value, tmp_path, capsys):
     assert flag in err
 
 
-@pytest.mark.parametrize(
-    "command,extra",
-    [("run", []), ("evaluate", ["--episodes", "2"]), ("compare", ["--episodes", "2"])],
-)
-def test_an_unwritable_out_exits_two_naming_the_path(command, extra, tmp_path, capsys):
+@pytest.fixture()
+def no_episodes(monkeypatch):
+    """Make every way the CLI plays episodes raise."""
+
+    def must_not_run(*args, **kwargs):
+        raise RuntimeError("episodes ran")
+
+    for name in ("evaluate", "run_batch", "run_episode"):
+        monkeypatch.setattr(cli, name, must_not_run)
+
+
+OUT_COMMANDS = [("run", []), ("evaluate", ["--episodes", "2"]), ("compare", ["--episodes", "2"])]
+
+
+@pytest.mark.parametrize("command,extra", OUT_COMMANDS)
+def test_an_unwritable_out_exits_two_naming_the_path(
+    command, extra, tmp_path, capsys, no_episodes
+):
+    """The check comes before any episode is played."""
     out = tmp_path / "missing" / "out"
     code = main([
         command, "--scenario", "small-1table", "--policy", "fcfs", *extra,
@@ -183,6 +197,23 @@ def test_an_unwritable_out_exits_two_naming_the_path(command, extra, tmp_path, c
     ])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"config error: cannot write {out}: ")
+
+
+@pytest.mark.parametrize("existing", [None, "policy,old row\n"])
+@pytest.mark.parametrize("command,extra", OUT_COMMANDS)
+def test_a_failed_run_leaves_out_as_it_was(command, extra, existing, tmp_path, no_episodes):
+    out = tmp_path / "out"
+    if existing is not None:
+        out.write_text(existing)
+    code = main([
+        command, "--scenario", "small-1table", "--policy", "fcfs", *extra,
+        "--out", str(out),
+    ])
+    assert code == 1
+    if existing is None:
+        assert not out.exists()
+    else:
+        assert out.read_text() == existing
 
 
 @pytest.mark.parametrize(

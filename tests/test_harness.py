@@ -1,11 +1,15 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import restaurant_pomdp
 from restaurant_pomdp import harness
 from restaurant_pomdp.belief import ObservationMismatchError, belief_init, belief_step
 from restaurant_pomdp.config import (
@@ -334,6 +338,24 @@ def test_evaluate_requires_at_least_one_episode(two_cfg):
 def test_run_batch_and_evaluate_require_at_least_one_worker(two_cfg, run, workers):
     with pytest.raises(ValueError, match="workers must be >= 1"):
         run(PolicySpec(kind="random"), two_cfg, 2, 0, workers=workers)
+
+
+def test_importing_the_package_loads_no_process_pool():
+    """Only ``run_batch`` with more than one worker needs ``multiprocessing``."""
+    src = os.path.dirname(os.path.dirname(restaurant_pomdp.__file__))
+    code = (
+        "import sys, restaurant_pomdp, restaurant_pomdp.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+        "if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # --- trace serialization -------------------------------------------------------------

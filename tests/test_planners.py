@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import statistics
 
 import numpy as np
@@ -8,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from restaurant_pomdp import planners
 from restaurant_pomdp.belief import Belief, belief_init, belief_predict, observe
-from restaurant_pomdp.config import SCENARIOS, ConfigError, validate_config
+from restaurant_pomdp.config import SCENARIOS, ConfigError, RestaurantConfig, validate_config
 from restaurant_pomdp.harness import run_episode
 from restaurant_pomdp.kernel import JointEdge, table_kernel
 from restaurant_pomdp.model import (
+    Action,
     ActionKind,
     JointState,
     ModelInvariantError,
@@ -21,10 +23,13 @@ from restaurant_pomdp.model import (
     fresh_table,
     go_to,
     legal_actions,
+    sample_outcome,
     serve,
 )
 from restaurant_pomdp.planners import (
+    DEFAULT_EXPLORATION,
     PolicySpec,
+    _require_mass,
     act_fcfs,
     act_greedy,
     act_mcts,
@@ -135,16 +140,27 @@ def test_parse_policy_spec_round_trip():
     "bad",
     ["nosuch", "mcts:budget=0", "mcts:depth=0", "mcts:exploration=-1",
      "mcts:rollout=fancy", "mcts:oops=1", "mcts:budget=1.5", "expectimax:depth=x",
-     "mcts:exploration=nan", "mcts:exploration=inf", "mcts:budget=5,budget=10"],
+     "mcts:exploration=nan", "mcts:exploration=inf", "mcts:budget=5,budget=10"]
+    # Only ints (bools excluded) as budget and depths, only numbers as exploration.
+    + [pytest.param(PolicySpec(kind="mcts", **{key: value}), id=f"spec-{key}={value!r}")
+       for key, values in [("budget", [1.5, True, "3", None]),
+                           ("max_depth", [2.0, False]),
+                           ("depth", ["3", True]),
+                           ("exploration", ["5", None, True])]
+       for value in values],
 )
 def test_bad_policy_specs_rejected(bad):
     with pytest.raises(ConfigError):
-        parse_policy_spec(bad)
+        if isinstance(bad, str):
+            parse_policy_spec(bad)
+        else:
+            validate_policy_spec(bad)
 
 
 def test_validate_policy_spec_bounds():
     with pytest.raises(ConfigError):
         validate_policy_spec(PolicySpec(kind="expectimax", depth=0))
+    assert validate_policy_spec(PolicySpec(kind="mcts", exploration=5)).exploration == 5
 
 
 # --- random ----------------------------------------------------------------------
@@ -412,6 +428,224 @@ def test_expectimax_rejects_a_massless_vector_at_every_depth(scenario, depth):
 
 
 # --- mcts -------------------------------------------------------------------------
+
+# The search as it was before its UCB1 terms were tabulated, its backup
+# thinned and its root draws pre-scaled, copied unchanged. The search must
+# match it bit for bit: same action, same value, same random stream.
+
+
+class _ReferenceNode:
+    """Per-tree visit statistics at one kernel node.
+
+    A node is expanded exactly when ``na`` is non-empty, as NOOP is always legal.
+    """
+
+    __slots__ = ("children", "n", "na", "wa", "q", "inv_sqrt", "untried")
+
+    def __init__(self) -> None:
+        self.children: list = []
+        self.n = 0
+        self.na: list[int] = []
+        self.wa: list[float] = []
+        self.q: list[float] = []       # wa / na, maintained incrementally
+        self.inv_sqrt: list[float] = []  # 1 / sqrt(na), maintained incrementally
+        self.untried = 0               # index of the first never-tried action
+
+    def expand(self, n: int) -> None:
+        self.children = [None] * n
+        self.na = [0] * n
+        self.wa = [0.0] * n
+        self.q = [0.0] * n
+        self.inv_sqrt = [0.0] * n
+
+
+def reference_mcts_search(
+    b: Belief,
+    cfg: RestaurantConfig,
+    budget: int,
+    rng: np.random.Generator,
+    *,
+    exploration: float = DEFAULT_EXPLORATION,
+    max_depth: int = 10,
+) -> tuple[Action, float]:
+    """UCT over the belief: returns the recommended action and its value estimate.
+
+    Runs ``budget`` simulations. Each draws every table's satisfaction from
+    its belief vector with :func:`.model.sample_outcome`, then takes up to
+    ``max_depth`` actions: by UCB1 while in the tree, and uniformly at random
+    (the rollout) from the first node not yet expanded, which it expands.
+    Recommendation is by visit count; ties break by the fixed action ordering.
+    An active table's massless vector raises :class:`.model.ModelInvariantError`;
+    a departed table's is searched as a point mass, which never draws.
+    """
+    internal = random.Random(int(rng.integers(2**63)))
+    rand = internal.random
+    randrange = internal.randrange
+    kernel = table_kernel(cfg)
+    actions = kernel.actions
+    joint_edge = kernel.joint_edge
+    sqrt, log = math.sqrt, math.log
+    k = cfg.sat_max + 1
+    gamma_pow = {d: cfg.gamma**d for d in range(1, cfg.duration_max_nav + 1)}
+    root_state = kernel.node(b.robot, b.observables)
+    _require_mass(root_state, b.satisfaction)
+    # A departed table's edges keep every level and pay 0: a massless one takes level 0.
+    supports = [
+        tuple((s, p) for s, p in enumerate(vec) if p > 0.0) or ((0, 1.0),)
+        for vec in b.satisfaction
+    ]
+    root = _ReferenceNode()
+    for _ in range(budget):
+        code = 0
+        mult = 1
+        for support in supports:
+            code += sample_outcome(support, internal)[0] * mult
+            mult *= k
+        node: _ReferenceNode | None = root
+        state = root_state
+        path = []
+        tail = 0.0
+        discount = 1.0
+        for _ in range(max_depth):
+            if state.done:
+                break
+            if node is not None and node.na:
+                na = node.na
+                if node.untried < len(na):
+                    idx = node.untried
+                    node.untried += 1
+                else:
+                    bonus = exploration * sqrt(log(node.n))
+                    q = node.q
+                    inv = node.inv_sqrt
+                    idx = 0
+                    best_u = q[0] + bonus * inv[0]
+                    for i in range(1, len(na)):
+                        u = q[i] + bonus * inv[i]
+                        if u > best_u:
+                            idx, best_u = i, u
+            else:
+                n_acts = len(state.actions or actions(state))
+                if node is not None:
+                    node.expand(n_acts)
+                    node = None
+                idx = randrange(n_acts)
+            edge = state.edges[idx]
+            if edge is None:
+                edge = joint_edge(state, idx)
+            if edge.serve is None:
+                code, r = edge[code]
+            else:
+                u = rand()
+                for cum, next_code, r in edge[code]:
+                    if u < cum:
+                        break
+                code = next_code
+            if node is None:
+                tail += discount * r
+                discount *= gamma_pow[edge.duration]
+            else:
+                child = node.children[idx]
+                if child is None:
+                    child = node.children[idx] = _ReferenceNode()
+                path.append((node, idx, r, edge.duration))
+                node = child
+            state = edge.next
+        value = tail
+        for nd, idx, r, duration in reversed(path):
+            value = r + gamma_pow[duration] * value
+            count = nd.na[idx] + 1
+            nd.na[idx] = count
+            nd.wa[idx] += value
+            nd.q[idx] = nd.wa[idx] / count
+            nd.inv_sqrt[idx] = 1.0 / sqrt(count)
+            nd.n += 1
+    acts = root_state.actions or actions(root_state)
+    visits = root.na or [0] * len(acts)  # a done root is never expanded
+    best = max(range(len(acts)), key=visits.__getitem__)
+    return acts[best], (root.wa[best] / visits[best] if visits[best] else 0.0)
+
+
+class RecordingRandom(random.Random):
+    """Keeps the last generator made, so a search's internal stream can be read after it."""
+
+    last = None
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        RecordingRandom.last = self
+
+
+def search_and_stream(search, b, cfg, budget, seed, **kwargs) -> tuple:
+    """``(action, value.hex())`` of one search and its internal generator's final state."""
+    action, value = search(b, cfg, budget, np.random.default_rng(seed), **kwargs)
+    return action, value.hex(), RecordingRandom.last.getstate()
+
+
+def assert_matches_reference(monkeypatch, b, cfg, budget, seed=0, **kwargs) -> None:
+    monkeypatch.setattr(planners.random, "Random", RecordingRandom)
+    got = search_and_stream(mcts_search, b, cfg, budget, seed, **kwargs)
+    want = search_and_stream(reference_mcts_search, b, cfg, budget, seed, **kwargs)
+    assert got == want
+
+
+@pytest.mark.parametrize("exploration", [0.0, 5.0, 20.0])
+@pytest.mark.parametrize("max_depth", [1, 3, 10])
+@pytest.mark.parametrize("budget", [1, 60, 1000])
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_mcts_equals_the_reference_search(scenario, budget, max_depth, exploration, monkeypatch):
+    cfg = SCENARIOS[scenario]()
+    beliefs = episode_beliefs(cfg, "greedy", [0])
+    for b in (beliefs[0], beliefs[len(beliefs) // 2]):
+        assert_matches_reference(
+            monkeypatch, b, cfg, budget, exploration=exploration, max_depth=max_depth
+        )
+
+
+@pytest.mark.parametrize("budget,max_depth", [(60, 3), (1000, 10)])
+@pytest.mark.parametrize("scenario", ["two-tables", "paper-3tables"])
+def test_mcts_equals_the_reference_on_point_mass_and_departed_tables(
+    scenario, budget, max_depth, monkeypatch
+):
+    """One-level supports, which the search folds into its base code, at
+    nonzero levels and on every table, active or departed, with or without mass."""
+    cfg = SCENARIOS[scenario]()
+    b = episode_beliefs(cfg, "greedy", [0])[3]
+    k = cfg.sat_max + 1
+    last = cfg.n_tables - 1
+    point = tuple(float(s == k - 2) for s in range(k))
+    massless = (0.0,) * k
+    departed = b.observables[:last] + (dataclasses.replace(b.observables[last], hand_raise=0),)
+    variants = [
+        (b.observables, (point,) + b.satisfaction[1:]),
+        (b.observables, b.satisfaction[:last] + (point,)),
+        (b.observables, (point,) * cfg.n_tables),
+        (departed, b.satisfaction),
+        (departed, b.satisfaction[:last] + (massless,)),
+        (departed, (point,) * last + (massless,)),
+    ]
+    for observables, sat in variants:
+        assert_matches_reference(
+            monkeypatch, Belief(b.robot, observables, sat), cfg, budget, max_depth=max_depth
+        )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    cfg=small_configs(),
+    seed=st.integers(0, 2**16),
+    budget=st.integers(1, 300),
+    max_depth=st.integers(1, 10),
+    exploration=st.floats(0.0, 50.0),
+)
+def test_mcts_equals_the_reference_search_on_small_configs(
+    cfg, seed, budget, max_depth, exploration
+):
+    with pytest.MonkeyPatch.context() as mp:
+        for b in episode_beliefs(cfg, "random", [seed])[:4]:
+            assert_matches_reference(
+                mp, b, cfg, budget, seed, exploration=exploration, max_depth=max_depth
+            )
 
 
 def test_mcts_budget_one_returns_legal_action(small_cfg):
