@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import ConfigError, RestaurantConfig
-from .kernel import table_kernel
+from .kernel import dense_support, table_kernel
 from .model import (
     Action,
     ModelInvariantError,
@@ -69,7 +69,7 @@ def belief_predict(b: Belief, action: Action, cfg: RestaurantConfig) -> tuple[Be
     next observables are the next node's.
     """
     edge = table_kernel(cfg).step(b.robot, b.observables, action)
-    predicted = edge.predict(b.observables, b.satisfaction)
+    predicted = edge.predict(b.satisfaction, dense_support(b.satisfaction))
     return Belief(edge.next.robot, edge.next.observables, predicted), edge.duration
 
 

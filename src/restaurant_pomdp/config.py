@@ -55,6 +55,12 @@ class RestaurantConfig:
 
 PRIOR_TOLERANCE = 1e-9
 
+# Configs that validated to themselves are remembered here by id, so
+# validating one again costs a lookup. Each entry keeps its config alive, so
+# an id is never reused while it is here; the memo is emptied at the limit.
+VALID_MEMO_LIMIT = 32
+_validated: dict[int, RestaurantConfig] = {}
+
 
 def _require_int(name: str, value: Any) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
@@ -112,6 +118,8 @@ def validate_config(cfg: RestaurantConfig) -> RestaurantConfig:
     concrete ``time_max``, ``initial_satisfaction`` and ``satisfaction_prior``;
     it is ``cfg`` itself when ``cfg`` is already valid.
     """
+    if _validated.get(id(cfg)) is cfg:
+        return cfg
     n = _require_int("n_tables", cfg.n_tables)
     if n < 1:
         raise ConfigError("n_tables must be >= 1")
@@ -199,7 +207,12 @@ def validate_config(cfg: RestaurantConfig) -> RestaurantConfig:
     # A valid config comes back as the same object, so the per-config stores
     # of kernel.table_kernel find it by id. repr, unlike ==, tells an int
     # from a float and a list from a tuple.
-    return cfg if repr(out) == repr(cfg) else out
+    if repr(out) != repr(cfg):
+        return out
+    if len(_validated) >= VALID_MEMO_LIMIT:
+        _validated.clear()
+    _validated[id(cfg)] = cfg
+    return cfg
 
 
 # --- JSON round-trip ---------------------------------------------------------

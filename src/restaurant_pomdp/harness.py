@@ -26,7 +26,7 @@ from .belief import (
 )
 from .config import RestaurantConfig, config_to_dict, validate_config
 from .joint import step_joint
-from .kernel import table_kernel
+from .kernel import dense_support, table_kernel
 from .model import Action, ActionKind, JointState, initial_joint_state, observe
 from .planners import PolicySpec, make_policy
 
@@ -125,7 +125,8 @@ def run_episode(policy, cfg: RestaurantConfig, seed: int) -> EpisodeTrace:
         duration, nxt = edge.duration, edge.next
         sats, table_rewards = edge.sample(sats, dyn_rng)
         reward = math.fsum(table_rewards)
-        predicted = edge.predict(node.observables, belief.satisfaction)
+        vecs = belief.satisfaction
+        predicted = edge.predict(vecs, dense_support(vecs))
         belief = condition(Belief(nxt.robot, nxt.observables, predicted), nxt.observables)
         ret += cfg.gamma**clock * reward
         clock += duration

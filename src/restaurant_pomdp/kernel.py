@@ -29,7 +29,15 @@ time (``rewards.expected_reward``, ``belief.belief_predict``,
 the planners (greedy, UCT and expectimax) look up their start node once and
 follow edges by pointer from there with :meth:`TableKernel.follow` or the
 node's ``edges``; expectimax's last ply reads the edges the way greedy
-does, for the expected reward only. The oracles in :mod:`.checks`,
+does, for the expected reward only.
+
+The expected reward and the propagation take each table's ``(level, p)``
+pairs: greedy and expectimax build those of the levels with mass once per
+search node (:func:`mass_support`), and expectimax's actions share a
+table's propagated vector where their edges share its table edge; a caller
+that reads one edge once passes whole vectors (:func:`dense_support`). The
+sums have the same terms in the same order either way. The oracles in
+:mod:`.checks`,
 ``checks.expected_reward_by_enumeration`` among them, and
 ``joint.enumerate_joint_transitions`` do not read the store.
 
@@ -73,9 +81,12 @@ class TableEdge:
 
     ``rows[sat]`` is ``((next_sat, prob, accrued_reward), ...)`` and
     ``expected[sat]`` is ``sum(prob * accrued_reward)`` over those rows.
+    ``departed`` is true when the table had departed before the action; the
+    joint edge's expected reward and prediction skip such a table.
     """
 
     next_obs: Observation
+    departed: bool
     rows: tuple[tuple[tuple[int, float, float], ...], ...]
     expected: tuple[float, ...]
 
@@ -152,39 +163,60 @@ class JointEdge(dict):
         out = self[code] = tuple(rows)
         return out
 
-    def expected_reward(self, observables: tuple, satisfaction: tuple) -> float:
-        """Expected reward under per-table satisfaction vectors.
+    def expected_reward(self, support) -> float:
+        """Expected reward under the tables' satisfaction levels.
 
-        Sums the tables' expected rewards weighted by their vectors;
-        departed tables add nothing. ``observables`` are the source node's.
+        ``support`` yields ``(table, pairs)`` in table order, ``pairs`` the
+        table's ``(level, p)`` in level order. Sums the active tables'
+        expected rewards weighted by ``p``, skipping zero ``p``; departed
+        tables add nothing. An active table with no mass raises
+        :class:`.model.ModelInvariantError`.
         """
         total = 0.0
-        for obs, vec, edge in zip(observables, satisfaction, self.tables):
-            if obs.hand_raise == 0:
+        tables = self.tables
+        for i, pairs in support:
+            edge = tables[i]
+            if edge.departed:
                 continue
             er = edge.expected
-            for sat, p in enumerate(vec):
+            has_mass = False
+            for sat, p in pairs:
                 if p == 0.0:
                     continue
+                has_mass = True
                 total += p * er[sat]
+            if not has_mass:
+                raise ModelInvariantError(f"table {i}: belief vector has no mass")
         return total
 
-    def predict(self, observables: tuple, satisfaction: tuple) -> tuple[tuple[float, ...], ...]:
+    def predict(
+        self, satisfaction: tuple, support, shared: dict | None = None
+    ) -> tuple[tuple[float, ...], ...]:
         """Per-table satisfaction vectors after the edge.
 
-        Each active table's vector is propagated through its table edge's
-        rows; a departed table's is kept as it is. An active table whose
-        vector has no mass raises :class:`.model.ModelInvariantError`.
+        ``support`` holds the pairs of ``satisfaction``, as for
+        :meth:`expected_reward`. Each active table's pairs are propagated
+        through its table edge's rows; a departed table's vector is kept. An
+        active table with no mass raises :class:`.model.ModelInvariantError`.
+        ``shared``, one dict per support, maps ``(table, id(table edge))`` to
+        the vector propagated there, for the other edges of the node to reuse.
         """
-        new_vecs: list[tuple[float, ...]] = []
-        for i, (obs, vec, edge) in enumerate(zip(observables, satisfaction, self.tables)):
-            if obs.hand_raise == 0:
-                new_vecs.append(vec)
+        new_vecs = list(satisfaction)
+        tables = self.tables
+        for i, pairs in support:
+            edge = tables[i]
+            if edge.departed:
                 continue
+            if shared is not None:
+                key = (i, id(edge))
+                vec = shared.get(key)
+                if vec is not None:
+                    new_vecs[i] = vec
+                    continue
             rows = edge.rows
-            out = [0.0] * len(vec)
+            out = [0.0] * len(satisfaction[i])
             has_mass = False
-            for sat, p in enumerate(vec):
+            for sat, p in pairs:
                 if p == 0.0:
                     continue
                 has_mass = True
@@ -192,7 +224,9 @@ class JointEdge(dict):
                     out[ns] += p * q
             if not has_mass:
                 raise ModelInvariantError(f"table {i}: belief vector has no mass")
-            new_vecs.append(tuple(out))
+            vec = new_vecs[i] = tuple(out)
+            if shared is not None:
+                shared[key] = vec
         return tuple(new_vecs)
 
     def sample(self, satisfactions: tuple, rng) -> tuple[tuple[int, ...], tuple[float, ...]]:
@@ -209,6 +243,29 @@ class JointEdge(dict):
             sats.append(ns)
             rewards.append(r)
         return tuple(sats), tuple(rewards)
+
+
+def mass_support(observables: tuple, satisfaction: tuple) -> list:
+    """``(table, pairs)`` of each active table, ``pairs`` the ``(level, p)``
+    of its vector's nonzero entries in level order.
+
+    An active table whose vector has no mass raises
+    :class:`.model.ModelInvariantError`.
+    """
+    support = []
+    for i, (obs, vec) in enumerate(zip(observables, satisfaction)):
+        if obs.hand_raise == 0:
+            continue
+        pairs = [(sat, p) for sat, p in enumerate(vec) if p != 0.0]
+        if not pairs:
+            raise ModelInvariantError(f"table {i}: belief vector has no mass")
+        support.append((i, pairs))
+    return support
+
+
+def dense_support(satisfaction: tuple):
+    """``(table, enumerate(vector))`` of every table, for one edge method call."""
+    return enumerate(map(enumerate, satisfaction))
 
 
 class TableKernel:
@@ -274,7 +331,7 @@ class TableKernel:
                     )
             rows.append(tuple((ns.satisfaction, p, r) for ns, p, r in outcomes))
         expected = tuple(sum(q * r for _, q, r in sat_rows) for sat_rows in rows)
-        return TableEdge(next_obs, tuple(rows), expected)
+        return TableEdge(next_obs, obs.hand_raise == 0, tuple(rows), expected)
 
     def node(self, robot: RobotState, observables: tuple[Observation, ...]) -> JointNode:
         """The joint node of ``(robot, observables)``, created on first use."""

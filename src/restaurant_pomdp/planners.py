@@ -15,7 +15,7 @@ import numpy as np
 
 from .belief import Belief
 from .config import ConfigError, RestaurantConfig, _require_int, _require_number
-from .kernel import JointNode, TableEdge, TableKernel, table_kernel
+from .kernel import JointNode, TableEdge, TableKernel, mass_support, table_kernel
 from .model import (
     Action,
     ModelInvariantError,
@@ -123,23 +123,24 @@ def act_fcfs(b: Belief, cfg: RestaurantConfig) -> Action:
 def act_greedy(b: Belief, cfg: RestaurantConfig) -> Action:
     """Myopic argmax of one-step expected reward under the belief."""
     kernel = table_kernel(cfg)
-    return _greedy_scan(kernel, kernel.node(b.robot, b.observables), b.satisfaction)[0]
+    support = mass_support(b.observables, b.satisfaction)
+    return _greedy_scan(kernel, kernel.node(b.robot, b.observables), support)[0]
 
 
-def _greedy_scan(kernel: TableKernel, node: JointNode, sat: tuple) -> tuple[Action, float]:
+def _greedy_scan(kernel: TableKernel, node: JointNode, support: list) -> tuple[Action, float]:
     """First strict argmax of the joint edges' expected reward, and its value.
 
     Scans the node's joint edges in the fixed action order, scoring each with
-    :meth:`.kernel.JointEdge.expected_reward`.
+    :meth:`.kernel.JointEdge.expected_reward` on the node's
+    :func:`.kernel.mass_support`.
     """
-    observables = node.observables
     acts = node.actions or kernel.actions(node)
     edges = node.edges
     best_action = acts[0]
     best_value = -math.inf
     for idx, a in enumerate(acts):
         edge = kernel.joint_edge(node, idx) if edges[idx] is None else edges[idx]
-        value = edge.expected_reward(observables, sat)
+        value = edge.expected_reward(support)
         if value > best_value:
             best_action, best_value = a, value
     return best_action, best_value
@@ -168,13 +169,13 @@ def value_expectimax(
     joint edge to the next node: ``E(reward)`` is the edge's
     :meth:`~.kernel.JointEdge.expected_reward`, the sum greedy maximizes, and
     the next vectors are its :meth:`~.kernel.JointEdge.predict`, the
-    propagation of :func:`.belief.belief_predict`. With one ply left the next
-    value is zero, so the last ply is greedy's scan: it propagates no belief,
-    and depth-1 expectimax returns greedy's action and its expected reward
-    bit for bit. A last-ply belief is still checked for an active table's
-    massless vector, which ``predict`` would have rejected. Returns
-    the optimal root action (``None`` at depth 0 or when every table is done)
-    and the value.
+    propagation of :func:`.belief.belief_predict`, both on the node's
+    :func:`.kernel.mass_support`, built once per search node; actions whose
+    edges share a table's edge share its propagated vector. With one ply
+    left the next value is zero, so the last ply is greedy's scan: it
+    propagates no belief, and depth-1 expectimax returns greedy's action and
+    its expected reward bit for bit. Returns the optimal root action
+    (``None`` at depth 0 or when every table is done) and the value.
     """
     kernel = table_kernel(cfg)
     actions = kernel.actions
@@ -189,19 +190,19 @@ def value_expectimax(
         cached = memo.get(key)
         if cached is not None:
             return cached
+        support = mass_support(node.observables, sat)
         if remaining == 1:
-            _require_mass(node, sat)
-            memo[key] = result = _greedy_scan(kernel, node, sat)
+            memo[key] = result = _greedy_scan(kernel, node, support)
             return result
-        observables = node.observables
         acts = node.actions or actions(node)
         edges = node.edges
+        shared: dict = {}
         best_action: Action | None = None
         best_value = -math.inf
         for idx, a in enumerate(acts):
             edge = joint_edge(node, idx) if edges[idx] is None else edges[idx]
-            er = edge.expected_reward(observables, sat)
-            next_sat = edge.predict(observables, sat)
+            er = edge.expected_reward(support)
+            next_sat = edge.predict(sat, support, shared)
             value = er + gamma**edge.duration * rec(edge.next, next_sat, remaining - 1)[1]
             if value > best_value:
                 best_action, best_value = a, value

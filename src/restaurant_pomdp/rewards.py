@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 from .config import RestaurantConfig
 from .dynamics import tick_table, transition_distribution
-from .kernel import table_kernel
+from .kernel import dense_support, table_kernel
 from .model import (
     Action,
     ActionKind,
@@ -113,4 +113,4 @@ def expected_reward(b: Belief, action: Action, cfg: RestaurantConfig) -> float:
     its :meth:`.kernel.JointEdge.expected_reward`.
     """
     edge = table_kernel(cfg).step(b.robot, b.observables, action)
-    return edge.expected_reward(b.observables, b.satisfaction)
+    return edge.expected_reward(dense_support(b.satisfaction))

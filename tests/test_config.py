@@ -199,3 +199,42 @@ def test_validate_converts_values_that_only_compare_equal():
         out = validate_config(loose)
         assert out is not loose
         assert repr(out) == repr(cfg)
+
+
+def test_validating_a_valid_config_again_builds_nothing(monkeypatch):
+    """A config that validated to itself is found by id the next time: no
+    replaced config is built, and normalizing and rejecting are unchanged."""
+    from restaurant_pomdp import config as config_module
+
+    built = []
+    real_replace = config_module.replace
+
+    def counting_replace(*args, **kwargs):
+        built.append(args[0])
+        return real_replace(*args, **kwargs)
+
+    monkeypatch.setattr(config_module, "replace", counting_replace)
+    cfg = dataclasses.replace(validate_config(base_cfg()), seed=23)  # a new object
+    assert validate_config(cfg) is cfg
+    assert built
+    built.clear()
+    assert validate_config(cfg) is cfg
+    assert config_to_dict(cfg)["seed"] == 23
+    assert built == []
+
+    listed = dataclasses.replace(
+        cfg, table_positions=[list(p) for p in cfg.table_positions], robot_start=[5, 5]
+    )
+    for _ in range(2):
+        out = validate_config(listed)
+        assert out is not listed
+        assert out.table_positions == ((2, 2), (2, 8), (8, 5))
+        assert out.robot_start == (5, 5)
+        assert repr(out) == repr(cfg)
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="gamma"):
+            validate_config(dataclasses.replace(cfg, gamma=1.5))
+
+    for seed in range(2 * config_module.VALID_MEMO_LIMIT):
+        validate_config(dataclasses.replace(cfg, seed=seed))
+    assert len(config_module._validated) <= config_module.VALID_MEMO_LIMIT

@@ -11,7 +11,7 @@ from restaurant_pomdp import planners
 from restaurant_pomdp.belief import Belief, belief_init, belief_predict, observe
 from restaurant_pomdp.config import SCENARIOS, ConfigError, RestaurantConfig, validate_config
 from restaurant_pomdp.harness import run_episode
-from restaurant_pomdp.kernel import JointEdge, table_kernel
+from restaurant_pomdp.kernel import JointEdge, dense_support, mass_support, table_kernel
 from restaurant_pomdp.model import (
     Action,
     ActionKind,
@@ -425,6 +425,249 @@ def test_expectimax_rejects_a_massless_vector_at_every_depth(scenario, depth):
     massless = Belief(b.robot, b.observables, sat)
     with pytest.raises(ModelInvariantError, match=f"table {last}: belief vector has no mass"):
         value_expectimax(massless, depth, cfg)
+
+
+# --- supports: the edge methods over levels with mass ---------------------------------
+#
+# The edge methods, greedy's scan and the expectimax recursion as they were
+# before they read one support per node, copied unchanged. Every full vector
+# is walked level by level; the current code must match them bit for bit.
+
+
+def reference_edge_expected_reward(edge, observables: tuple, satisfaction: tuple) -> float:
+    total = 0.0
+    for obs, vec, table_edge in zip(observables, satisfaction, edge.tables):
+        if obs.hand_raise == 0:
+            continue
+        er = table_edge.expected
+        for sat, p in enumerate(vec):
+            if p == 0.0:
+                continue
+            total += p * er[sat]
+    return total
+
+
+def reference_edge_predict(edge, observables: tuple, satisfaction: tuple) -> tuple:
+    new_vecs = []
+    for i, (obs, vec, table_edge) in enumerate(zip(observables, satisfaction, edge.tables)):
+        if obs.hand_raise == 0:
+            new_vecs.append(vec)
+            continue
+        rows = table_edge.rows
+        out = [0.0] * len(vec)
+        has_mass = False
+        for sat, p in enumerate(vec):
+            if p == 0.0:
+                continue
+            has_mass = True
+            for ns, q, _ in rows[sat]:
+                out[ns] += p * q
+        if not has_mass:
+            raise ModelInvariantError(f"table {i}: belief vector has no mass")
+        new_vecs.append(tuple(out))
+    return tuple(new_vecs)
+
+
+def reference_greedy_scan(kernel, node, sat: tuple) -> tuple:
+    observables = node.observables
+    acts = node.actions or kernel.actions(node)
+    edges = node.edges
+    best_action = acts[0]
+    best_value = -math.inf
+    for idx, a in enumerate(acts):
+        edge = kernel.joint_edge(node, idx) if edges[idx] is None else edges[idx]
+        value = reference_edge_expected_reward(edge, observables, sat)
+        if value > best_value:
+            best_action, best_value = a, value
+    return best_action, best_value
+
+
+def reference_value_expectimax(b: Belief, depth: int, cfg) -> tuple:
+    kernel = table_kernel(cfg)
+    actions = kernel.actions
+    joint_edge = kernel.joint_edge
+    gamma = cfg.gamma
+    memo = {}
+
+    def rec(node, sat, remaining):
+        if remaining == 0 or node.done:
+            return (None, 0.0)
+        key = (node, sat, remaining)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        if remaining == 1:
+            _require_mass(node, sat)
+            memo[key] = result = reference_greedy_scan(kernel, node, sat)
+            return result
+        observables = node.observables
+        acts = node.actions or actions(node)
+        edges = node.edges
+        best_action = None
+        best_value = -math.inf
+        for idx, a in enumerate(acts):
+            edge = joint_edge(node, idx) if edges[idx] is None else edges[idx]
+            er = reference_edge_expected_reward(edge, observables, sat)
+            next_sat = reference_edge_predict(edge, observables, sat)
+            value = er + gamma**edge.duration * rec(edge.next, next_sat, remaining - 1)[1]
+            if value > best_value:
+                best_action, best_value = a, value
+        memo[key] = (best_action, best_value)
+        return (best_action, best_value)
+
+    return rec(kernel.node(b.robot, b.observables), b.satisfaction, depth)
+
+
+def hex_vectors(vectors: tuple) -> tuple:
+    return tuple(tuple(float(p).hex() for p in vec) for vec in vectors)
+
+
+def outcome(fn, *args):
+    """``fn``'s result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except ModelInvariantError as exc:
+        return (type(exc), str(exc))
+
+
+def assert_supports_match_the_reference(b: Belief, cfg, depths) -> None:
+    """Every edge of the belief's node, greedy and expectimax at ``depths``
+    give the reference's actions, value bits and vector bits."""
+    kernel = table_kernel(cfg)
+    node = kernel.node(b.robot, b.observables)
+    sat = b.satisfaction
+    try:
+        support = mass_support(b.observables, sat)
+    except ModelInvariantError as exc:
+        support = None
+        raised = (type(exc), str(exc))
+    shared = {}
+    for idx in range(len(kernel.actions(node))):
+        edge = kernel.follow(node, node.actions[idx])
+        want_predict = outcome(reference_edge_predict, edge, b.observables, sat)
+        got_dense = outcome(edge.predict, sat, dense_support(sat))
+        if support is None:
+            assert got_dense == want_predict == raised
+            continue
+        want_er = reference_edge_expected_reward(edge, b.observables, sat)
+        for got_er in (
+            edge.expected_reward(support),
+            edge.expected_reward(dense_support(sat)),
+        ):
+            assert got_er.hex() == want_er.hex()
+        for got in (got_dense, edge.predict(sat, support), edge.predict(sat, support, shared)):
+            assert hex_vectors(got) == hex_vectors(want_predict)
+    if support is not None:
+        action, value = planners._greedy_scan(kernel, node, support)
+        ref_action, ref_value = reference_greedy_scan(kernel, node, sat)
+        assert action == ref_action == act_greedy(b, cfg)
+        assert value.hex() == ref_value.hex()
+    for depth in depths:
+        got = outcome(value_expectimax, b, depth, cfg)
+        want = outcome(reference_value_expectimax, b, depth, cfg)
+        if support is None:
+            assert got == want == raised
+        else:
+            assert got[0] == want[0]
+            assert got[1].hex() == want[1].hex()
+
+
+@pytest.mark.parametrize(
+    "scenario, n_beliefs", [("small-1table", None), ("two-tables", None), ("paper-3tables", 12)]
+)
+@pytest.mark.parametrize("kind", ["greedy", "random"])
+def test_supports_match_the_full_vector_reference(scenario, n_beliefs, kind):
+    cfg = SCENARIOS[scenario]()
+    beliefs = episode_beliefs(cfg, kind, range(2))[:n_beliefs]
+    assert beliefs
+    for b in beliefs:
+        assert_supports_match_the_reference(b, cfg, depths=(1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("scenario", ["two-tables", "paper-3tables"])
+def test_supports_match_the_reference_on_tiny_entries_and_departed_tables(scenario):
+    """A 5e-324 entry is a level with mass; a departed table is skipped, with
+    or without mass, and an active massless one raises as before."""
+    cfg = SCENARIOS[scenario]()
+    k = cfg.sat_max + 1
+    last = cfg.n_tables - 1
+    massless = (0.0,) * k
+    tiny = (5e-324,) + (0.0,) * (k - 3) + (0.25, 0.75 - 5e-324)
+    for b in episode_beliefs(cfg, "greedy", [0])[1:8:3]:
+        departed = b.observables[:last] + (dataclasses.replace(b.observables[last], hand_raise=0),)
+        variants = [
+            (b.observables, (tiny,) + b.satisfaction[1:]),
+            (b.observables, b.satisfaction[:last] + ((0.0,) * (k - 1) + (5e-324,),)),
+            (departed, b.satisfaction),
+            (departed, b.satisfaction[:last] + (massless,)),
+            (departed, (tiny,) * last + (massless,)),
+            (b.observables, b.satisfaction[:last] + (massless,)),
+            (b.observables, (massless,) * cfg.n_tables),
+        ]
+        for observables, sat in variants:
+            assert_supports_match_the_reference(
+                Belief(b.robot, observables, sat), cfg, depths=(1, 2, 3)
+            )
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=small_configs(), seed=st.integers(0, 2**16))
+def test_supports_match_the_full_vector_reference_on_small_configs(cfg, seed):
+    for b in episode_beliefs(cfg, "random", [seed])[:6]:
+        assert_supports_match_the_reference(b, cfg, depths=(1, 2, 3))
+
+
+def test_expectimax_propagates_each_table_edge_once_per_node(two_cfg, monkeypatch):
+    """At depth 2 only the root propagates: once per distinct (table, table
+    edge) over its edges' active tables, and the edges that share a table's
+    edge share that table's vector."""
+    outputs = []
+    predict = JointEdge.predict
+
+    def recording_predict(edge, satisfaction, support, shared=None):
+        out = predict(edge, satisfaction, support, shared)
+        outputs.append((edge, out))
+        return out
+
+    monkeypatch.setattr(JointEdge, "predict", recording_predict)
+    b = belief_init(two_cfg)
+    value_expectimax(b, 2, two_cfg)
+    kernel = table_kernel(two_cfg)
+    node = kernel.node(b.robot, b.observables)
+    assert len(outputs) == len(node.edges)
+    assert all(edge is root_edge for (edge, _), root_edge in zip(outputs, node.edges))
+    active = [i for i, o in enumerate(b.observables) if o.hand_raise != 0]
+    assert active
+    distinct_edges = {(i, id(edge.tables[i])) for edge in node.edges for i in active}
+    propagated = {id(out[i]) for _, out in outputs for i in active}
+    assert len(propagated) == len(distinct_edges) < len(node.edges) * len(active)
+    for edge, out in outputs:
+        assert out == reference_edge_predict(edge, b.observables, b.satisfaction)
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_every_belief_reader_rejects_an_active_massless_vector(scenario):
+    """Greedy, the one-step expected reward and the filter raise on an active
+    table's massless vector as expectimax and UCT do; a departed table's
+    massless vector is accepted by all of them and kept as it is."""
+    cfg = SCENARIOS[scenario]()
+    base = belief_init(cfg)
+    sat = ((0.0,) * (cfg.sat_max + 1),) + base.satisfaction[1:]
+    departed = (dataclasses.replace(base.observables[0], hand_raise=0),) + base.observables[1:]
+    readers = [
+        lambda b: act_greedy(b, cfg),
+        lambda b: expected_reward(b, NOOP, cfg),
+        lambda b: belief_predict(b, NOOP, cfg),
+        lambda b: value_expectimax(b, 2, cfg),
+        lambda b: mcts_search(b, cfg, 20, np.random.default_rng(0), max_depth=3),
+    ]
+    for read in readers:
+        with pytest.raises(ModelInvariantError, match="^table 0: belief vector has no mass$"):
+            read(Belief(base.robot, base.observables, sat))
+    for read in readers:
+        read(Belief(base.robot, departed, sat))
+    predicted, _ = belief_predict(Belief(base.robot, departed, sat), NOOP, cfg)
+    assert predicted.satisfaction[0] is sat[0]
 
 
 # --- mcts -------------------------------------------------------------------------
