@@ -37,6 +37,7 @@ from .harness import (
     Metrics,
     StepRecord,
     evaluate,
+    expected_return,
     replay_actions,
     run_batch,
     run_episode,

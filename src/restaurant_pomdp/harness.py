@@ -24,7 +24,7 @@ from .belief import (
     belief_init,
     condition,
 )
-from .config import RestaurantConfig, config_to_dict, validate_config
+from .config import ConfigError, RestaurantConfig, config_to_dict, validate_config
 from .joint import step_joint
 from .kernel import dense_support, table_kernel
 from .model import Action, ActionKind, JointState, initial_joint_state, observe
@@ -153,6 +153,40 @@ def run_episode(policy, cfg: RestaurantConfig, seed: int) -> EpisodeTrace:
         steps=tuple(steps),
         discounted_return=ret,
     )
+
+
+def expected_return(spec: PolicySpec, cfg: RestaurantConfig) -> float:
+    """Exact expected discounted return of a deterministic policy.
+
+    Observations carry no evidence about satisfaction, so the belief process
+    is deterministic and a policy that draws nothing plays one belief path,
+    whatever the seed. The walk follows it from the initial belief, adding
+    ``gamma**clock`` times the edge's :meth:`~.kernel.JointEdge.expected_reward`
+    at each step and moving the vectors with its
+    :meth:`~.kernel.JointEdge.predict`, as :func:`run_episode`'s filter does;
+    it stops at the horizon or when every table is done. ``random`` and
+    ``mcts`` draw from their random stream and raise :class:`.config.ConfigError`.
+    """
+    if spec.kind in ("random", "mcts"):
+        raise ConfigError(
+            f"expected_return needs a policy that draws nothing; {spec.kind} draws "
+            "from its random stream"
+        )
+    cfg = validate_config(cfg)
+    policy = make_policy(spec, cfg)
+    kernel = table_kernel(cfg)
+    belief = belief_init(cfg)
+    node = kernel.node(belief.robot, belief.observables)
+    clock = 0
+    total = 0.0
+    while clock < cfg.horizon and not node.done:
+        edge = kernel.follow(node, policy.act(belief, None))
+        vecs = belief.satisfaction
+        total += cfg.gamma**clock * edge.expected_reward(dense_support(vecs))
+        node = edge.next
+        belief = Belief(node.robot, node.observables, edge.predict(vecs, dense_support(vecs)))
+        clock += edge.duration
+    return total
 
 
 def replay_actions(

@@ -18,7 +18,6 @@ from .config import ConfigError, RestaurantConfig, _require_int, _require_number
 from .kernel import JointNode, TableEdge, TableKernel, mass_support, table_kernel
 from .model import (
     Action,
-    ModelInvariantError,
     NOOP,
     action_sort_key,
     go_to,
@@ -149,13 +148,6 @@ def _greedy_scan(kernel: TableKernel, node: JointNode, support: list) -> tuple[A
 # --- Exact expectimax --------------------------------------------------------
 
 
-def _require_mass(node: JointNode, sat: tuple) -> None:
-    """Raise as :meth:`.kernel.JointEdge.predict` does on an active table's massless vector."""
-    for i, (obs, vec) in enumerate(zip(node.observables, sat)):
-        if obs.hand_raise != 0 and not any(vec):
-            raise ModelInvariantError(f"table {i}: belief vector has no mass")
-
-
 def value_expectimax(
     b: Belief, depth: int, cfg: RestaurantConfig
 ) -> tuple[Action | None, float]:
@@ -228,6 +220,29 @@ def value_expectimax(
 # pre-scaled by their place values, and UCB1's exploration bonus by node
 # visits and inverse square root by action visits are tabulated as the
 # simulations need them, with the same float expressions a step would use.
+#
+# A node rescans its actions only when its last choice could have lost. UCB1
+# hardly explores here, as returns span thousands and the bonus is small beside
+# them, so a node nearly always picks what it picked on its last visit. After
+# a scan at bonus B0 picks action c, the node keeps c and a floor
+# M0 - B0 + slack, where M0 is the best UCB1 value q_i + B0 * s_i among the
+# other actions, q_i = wa[i] / na[i] and s_i = 1 / sqrt(na[i]) <= 1. Until the
+# next scan only c is selected there, so only c's statistics change, and at a
+# later bonus B each other action's value has grown by (B - B0) * s_i, at most
+# B - B0. So q_c + B * s_c - B > floor proves that c is the strict argmax and
+# that the scan would return it; otherwise the node scans and renews c and its
+# floor. The bound needs B >= B0: a node's visit count only grows, and
+# bonus_of is non-decreasing in it. A node with one action has no runner-up
+# and keeps the floor -inf. The slack covers rounding. Each value read is a few
+# roundings, a few 1e-16 relative, from its exact value, on magnitudes near
+# |M0| + B for any action that can compete with c. A node with two actions or
+# more has n >= 2 when it scans, so B / B0 <= sqrt(log(budget) / log(2)),
+# under 5 for any budget below 1e7. The slack, 1e-9 * (|M0| + B0 + 1), thus
+# exceeds the rounding error more than 1e5-fold. A tie never passes the strict
+# check, so ties still go to the lowest index, and the tree is the one a scan
+# at every visit grows. q_i and s_i are computed where they are read, from wa,
+# na and inv_of: the floats ``w / count`` and ``inv_of[count]`` that a backup
+# would otherwise store.
 
 
 class _StoreView:
@@ -269,25 +284,28 @@ class _Node:
     """Per-tree visit statistics at one kernel node.
 
     A node is expanded exactly when ``na`` is non-empty, as NOOP is always legal.
+    ``choice`` is the action its last UCB1 scan picked and ``floor`` the bound
+    that certifies it until the next scan (see :func:`mcts_search`); a node with
+    one action has no runner-up, so its floor is ``-inf`` and it never scans.
     """
 
-    __slots__ = ("children", "n", "na", "wa", "q", "inv_sqrt", "untried")
+    __slots__ = ("children", "n", "na", "wa", "untried", "choice", "floor")
 
     def __init__(self) -> None:
         self.children: list = []
         self.n = 0
         self.na: list[int] = []
         self.wa: list[float] = []
-        self.q: list[float] = []       # wa / na, maintained incrementally
-        self.inv_sqrt: list[float] = []  # 1 / sqrt(na), maintained incrementally
         self.untried = 0               # index of the first never-tried action
+        self.choice = 0
+        self.floor = math.inf          # fails every check: the first choice scans
 
     def expand(self, n: int) -> None:
         self.children = [None] * n
         self.na = [0] * n
         self.wa = [0.0] * n
-        self.q = [0.0] * n
-        self.inv_sqrt = [0.0] * n
+        if n == 1:
+            self.floor = -math.inf
 
 
 def mcts_search(
@@ -306,8 +324,12 @@ def mcts_search(
     ``max_depth`` actions: by UCB1 while in the tree, and uniformly at random
     (the rollout) from the first node not yet expanded, which it expands.
     Recommendation is by visit count; ties break by the fixed action ordering.
-    An active table's massless vector raises :class:`.model.ModelInvariantError`;
-    a departed table's is searched as a point mass, which never draws.
+    A fully tried node keeps its last UCB1 choice while a per-node certificate
+    proves that a scan of its actions would return it again, which leaves the
+    tree, the value and the random stream those of a scan at every visit.
+    An active table's massless vector raises :class:`.model.ModelInvariantError`,
+    as :func:`.kernel.mass_support` does; a departed table's is searched as a
+    point mass, which never draws.
     """
     internal = random.Random(int(rng.integers(2**63)))
     rand = internal.random
@@ -319,7 +341,7 @@ def mcts_search(
     k = cfg.sat_max + 1
     gamma_pow = {d: cfg.gamma**d for d in range(1, cfg.duration_max_nav + 1)}
     root_state = kernel.node(b.robot, b.observables)
-    _require_mass(root_state, b.satisfaction)
+    mass_support(root_state.observables, b.satisfaction)
     # A table's level enters the joint code times its place value k**i. A
     # one-level support never draws, so it is folded into ``base``; the others
     # carry their levels pre-scaled. A departed table's edges keep every level
@@ -363,14 +385,24 @@ def mcts_search(
                     node.untried = untried + 1
                 else:
                     bonus = bonus_of[node.n]
-                    q = node.q
-                    inv = node.inv_sqrt
-                    idx = 0
-                    best_u = q[0] + bonus * inv[0]
-                    for i in range(1, len(na)):
-                        u = q[i] + bonus * inv[i]
-                        if u > best_u:
-                            idx, best_u = i, u
+                    wa = node.wa
+                    idx = node.choice
+                    count = na[idx]
+                    # The certificate: see the comment above _StoreView. A NaN
+                    # anywhere fails it, and the scan is always exact.
+                    if not wa[idx] / count + bonus * inv_of[count] - bonus > node.floor:
+                        idx = 0
+                        best_u = wa[0] / na[0] + bonus * inv_of[na[0]]
+                        runner_up = -math.inf
+                        for i in range(1, len(na)):
+                            count = na[i]
+                            u = wa[i] / count + bonus * inv_of[count]
+                            if u > best_u:
+                                idx, best_u, runner_up = i, u, best_u
+                            elif u > runner_up:
+                                runner_up = u
+                        node.choice = idx
+                        node.floor = runner_up - bonus + 1e-9 * (abs(runner_up) + bonus + 1.0)
             else:
                 n_acts = len(state.actions or actions(state))
                 if node is not None:
@@ -401,12 +433,8 @@ def mcts_search(
         value = tail
         for nd, idx, r, g in reversed(path):
             value = r + g * value
-            na = nd.na
-            count = na[idx] = na[idx] + 1
-            wa = nd.wa
-            w = wa[idx] = wa[idx] + value
-            nd.q[idx] = w / count
-            nd.inv_sqrt[idx] = inv_of[count]
+            nd.na[idx] += 1
+            nd.wa[idx] += value
             nd.n += 1
     acts = root_state.actions or actions(root_state)
     visits = root.na or [0] * len(acts)  # a done root is never expanded

@@ -14,6 +14,7 @@ from restaurant_pomdp import harness
 from restaurant_pomdp.belief import ObservationMismatchError, belief_init, belief_step
 from restaurant_pomdp.config import (
     SCENARIOS,
+    ConfigError,
     RestaurantConfig,
     config_to_dict,
     validate_config,
@@ -23,6 +24,7 @@ from restaurant_pomdp.harness import (
     StepRecord,
     aggregate,
     evaluate,
+    expected_return,
     paired_difference,
     read_trace_actions,
     replay_actions,
@@ -326,6 +328,38 @@ def test_paired_difference_mean_and_standard_error():
     assert mean == 2.0
     assert se == pytest.approx(1 / math.sqrt(3), abs=1e-15)
     assert paired_difference([4.0], [1.5]) == (2.5, 0.0)
+
+
+EXPECTED_RETURNS = {
+    ("small-1table", "greedy"): 42.4639648407288,
+    ("small-1table", "fcfs"): 45.75154193760926,
+    ("small-1table", "expectimax"): 42.37731403619235,
+    ("two-tables", "greedy"): 75.36612572602716,
+    ("two-tables", "fcfs"): 30.888873012865826,
+    ("two-tables", "expectimax"): 124.13493525032465,
+    ("paper-3tables", "greedy"): -1084.8989834458464,
+    ("paper-3tables", "fcfs"): -1286.9235900267759,
+    ("paper-3tables", "expectimax"): -171.3745315718051,
+}
+
+
+@pytest.mark.parametrize("scenario, kind", sorted(EXPECTED_RETURNS))
+def test_expected_return_is_the_mean_of_sampled_episodes(scenario, kind):
+    """The one belief path's exact value, pinned, lies within 3 standard
+    errors of the mean return of 200 sampled episodes."""
+    cfg = SCENARIOS[scenario]()
+    spec = PolicySpec(kind=kind)
+    value = expected_return(spec, cfg)
+    assert value == EXPECTED_RETURNS[scenario, kind]
+    returns = [s.discounted_return for s in run_batch(spec, cfg, 200, 0)]
+    mean, se = paired_difference(returns, [value] * len(returns))
+    assert abs(mean) <= 3 * se
+
+
+@pytest.mark.parametrize("kind", ["random", "mcts"])
+def test_expected_return_rejects_a_policy_that_draws(two_cfg, kind):
+    with pytest.raises(ConfigError, match="draws from its random stream"):
+        expected_return(PolicySpec(kind=kind), two_cfg)
 
 
 def test_evaluate_requires_at_least_one_episode(two_cfg):

@@ -29,7 +29,6 @@ from restaurant_pomdp.model import (
 from restaurant_pomdp.planners import (
     DEFAULT_EXPLORATION,
     PolicySpec,
-    _require_mass,
     act_fcfs,
     act_greedy,
     act_mcts,
@@ -497,7 +496,7 @@ def reference_value_expectimax(b: Belief, depth: int, cfg) -> tuple:
         if cached is not None:
             return cached
         if remaining == 1:
-            _require_mass(node, sat)
+            mass_support(node.observables, sat)
             memo[key] = result = reference_greedy_scan(kernel, node, sat)
             return result
         observables = node.observables
@@ -731,7 +730,7 @@ def reference_mcts_search(
     k = cfg.sat_max + 1
     gamma_pow = {d: cfg.gamma**d for d in range(1, cfg.duration_max_nav + 1)}
     root_state = kernel.node(b.robot, b.observables)
-    _require_mass(root_state, b.satisfaction)
+    mass_support(root_state.observables, b.satisfaction)
     # A departed table's edges keep every level and pay 0: a massless one takes level 0.
     supports = [
         tuple((s, p) for s, p in enumerate(vec) if p > 0.0) or ((0, 1.0),)
@@ -889,6 +888,63 @@ def test_mcts_equals_the_reference_search_on_small_configs(
             assert_matches_reference(
                 mp, b, cfg, budget, seed, exploration=exploration, max_depth=max_depth
             )
+
+
+# A node keeps its last UCB1 choice while a certificate proves a scan would
+# return it. It is weakest where the bonus is large beside the returns: at
+# 1e15 the bonus dominates and UCB1 values tie at float precision.
+
+
+@pytest.mark.parametrize("exploration", [1e3, 1e15])
+@pytest.mark.parametrize("max_depth", [1, 10])
+@pytest.mark.parametrize("budget", [60, 1000])
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_mcts_equals_the_reference_at_large_exploration(
+    scenario, budget, max_depth, exploration, monkeypatch
+):
+    cfg = SCENARIOS[scenario]()
+    beliefs = episode_beliefs(cfg, "greedy", [0])
+    for b in (beliefs[0], beliefs[len(beliefs) // 2]):
+        assert_matches_reference(
+            monkeypatch, b, cfg, budget, exploration=exploration, max_depth=max_depth
+        )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    cfg=small_configs(),
+    seed=st.integers(0, 2**16),
+    budget=st.integers(1, 300),
+    max_depth=st.integers(1, 10),
+    exploration=st.floats(0.0, 1e6),
+)
+def test_mcts_equals_the_reference_at_large_exploration_on_small_configs(
+    cfg, seed, budget, max_depth, exploration
+):
+    with pytest.MonkeyPatch.context() as mp:
+        for b in episode_beliefs(cfg, "random", [seed])[:4]:
+            assert_matches_reference(
+                mp, b, cfg, budget, seed, exploration=exploration, max_depth=max_depth
+            )
+
+
+def test_mcts_equals_the_reference_on_exact_ties(monkeypatch):
+    """With no bonus, no discount and one ply, actions' values tie exactly;
+    the kept choice must yield to the lowest tied index as a scan does."""
+    cfg = validate_config(
+        RestaurantConfig(
+            n_tables=1,
+            table_positions=((2, 2),),
+            robot_start=(0, 0),
+            grid_width=5,
+            grid_height=5,
+            sat_max=4,
+            time_max=2,
+            gamma=1.0,
+        )
+    )
+    for b in episode_beliefs(cfg, "random", [4])[:4]:
+        assert_matches_reference(monkeypatch, b, cfg, 7, 4, exploration=0.0, max_depth=1)
 
 
 def test_mcts_budget_one_returns_legal_action(small_cfg):
