@@ -10,6 +10,7 @@ schedule-critical fields cannot silently corrupt an experiment.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Any
@@ -69,9 +70,17 @@ def _require_int(name: str, value: Any) -> int:
 
 
 def _require_number(name: str, value: Any) -> Any:
-    """``value`` as given, if it is a real number and not a bool."""
+    """``value`` as given, if it is a finite real number and not a bool.
+
+    NaN fails every comparison, so a bound written as ``x < 0`` lets it
+    through, and ``json.loads`` reads ``NaN`` and ``Infinity`` in an
+    override. The chained comparison, unlike :func:`math.isfinite`, also
+    takes an int too large for a float.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not -math.inf < value < math.inf:
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     return value
 
 

@@ -49,9 +49,8 @@ def validate_policy_spec(spec: PolicySpec) -> PolicySpec:
         raise ConfigError("budget must be >= 1")
     if _require_int("max_depth", spec.max_depth) < 1 or _require_int("depth", spec.depth) < 1:
         raise ConfigError("search depth must be >= 1")
-    exploration = _require_number("exploration", spec.exploration)
-    if not (math.isfinite(exploration) and exploration >= 0):
-        raise ConfigError("exploration constant must be finite and >= 0")
+    if _require_number("exploration", spec.exploration) < 0:
+        raise ConfigError("exploration constant must be >= 0")
     return spec
 
 

@@ -9,7 +9,6 @@ from restaurant_pomdp.config import RestaurantConfig, validate_config
 from restaurant_pomdp.joint import step_joint
 from restaurant_pomdp.model import (
     JointState,
-    RobotState,
     TableState,
     action_sort_key,
     all_done,
@@ -78,11 +77,3 @@ def random_walk_states(
             js = step_joint(js, action, cfg, rng).next
             states.append(js)
     return states[:n_states]
-
-
-def robot_positions(cfg: RestaurantConfig) -> st.SearchStrategy[RobotState]:
-    return st.builds(
-        RobotState,
-        x=st.integers(0, cfg.grid_width - 1),
-        y=st.integers(0, cfg.grid_height - 1),
-    )

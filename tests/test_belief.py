@@ -84,12 +84,6 @@ def _single_table_belief(cfg, vec, obs=None) -> Belief:
     )
 
 
-def _co_located_cfg(small_cfg):
-    return validate_config(
-        dataclasses.replace(small_cfg, robot_start=small_cfg.table_positions[0])
-    )
-
-
 def test_serve_at_top_keeps_point_mass(paper_cfg):
     cfg = validate_config(
         dataclasses.replace(paper_cfg, n_tables=1, table_positions=((2, 2),),

@@ -55,7 +55,9 @@ def test_run_horizon_zero_override(tmp_path, capsys):
 @pytest.mark.parametrize(
     "override",
     ["table_positions=5", "robot_start=7", "satisfaction_prior=3", "reward.penalty_bases=2",
-     'gamma="x"', 'reward.serve_scale="a"', "gamma=true"],
+     'gamma="x"', 'reward.serve_scale="a"', "gamma=true",
+     # json.loads reads NaN and Infinity as floats; no config number may be either.
+     "satisfaction_prior=[NaN,0,0,0,0,1.0]", "reward.serve_scale=NaN", "gamma=Infinity"],
 )
 def test_run_config_value_of_the_wrong_type_exits_two(override, tmp_path, capsys):
     code = main([

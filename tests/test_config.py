@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -73,7 +74,13 @@ def test_default_prior_is_point_mass_at_initial_satisfaction():
         dict(reward=RewardParams(penalty_bases=(1.0, 1.7, 1.4))),
         dict(reward=RewardParams(time_cap=-1)),
         dict(duration_max_nav=0),
-    ],
+        # NaN fails every bound check and an infinity passes some: both are refused.
+        dict(satisfaction_prior=(math.nan, 0.0, 0.0, 0.0, 0.0, 1.0)),
+        dict(reward=RewardParams(penalty_bases=(math.inf, 1.7, 1.4))),
+    ]
+    + [dict(reward=RewardParams(**{name: value}))
+       for name in ("serve_scale", "nav_divisor", "time_cap", "improvement_bonus")
+       for value in (math.nan, math.inf, -math.inf)],
 )
 def test_invalid_configs_rejected(bad):
     with pytest.raises(ConfigError):

@@ -10,7 +10,6 @@ from restaurant_pomdp.checks import check_marginal_consistency, random_joint_sta
 from restaurant_pomdp.config import RestaurantConfig, validate_config
 from restaurant_pomdp.dynamics import (
     action_duration,
-    navigation_duration,
     next_robot,
     tick_table,
     transition_distribution,

@@ -9,7 +9,6 @@ import restaurant_pomdp
 from restaurant_pomdp.config import RestaurantConfig, validate_config
 from restaurant_pomdp.joint import step_joint
 from restaurant_pomdp.model import (
-    ActionKind,
     JointState,
     NOOP,
     RobotState,

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from restaurant_pomdp import planners
+from restaurant_pomdp import kernel as kernel_module, planners
 from restaurant_pomdp.belief import Belief, belief_init, belief_predict, observe
 from restaurant_pomdp.config import SCENARIOS, ConfigError, RestaurantConfig, validate_config
 from restaurant_pomdp.harness import run_episode
-from restaurant_pomdp.kernel import JointEdge, dense_support, mass_support, table_kernel
+from restaurant_pomdp.kernel import JointEdge, mass_support, table_kernel
 from restaurant_pomdp.model import (
     Action,
     ActionKind,
@@ -20,7 +20,6 @@ from restaurant_pomdp.model import (
     NOOP,
     action_sort_key,
     all_done,
-    fresh_table,
     go_to,
     legal_actions,
     sample_outcome,
@@ -90,20 +89,37 @@ def reference_expectimax(b: Belief, depth: int, cfg) -> tuple:
     return (best_action, best_value)
 
 
-def reference_greedy(b: Belief, cfg):
-    """First strict argmax of ``expected_reward`` in the fixed action order."""
-    best_action, best_value = None, -math.inf
-    for a in sorted_legal_actions(b, cfg):
-        value = expected_reward(b, a, cfg)
-        if value > best_value:
-            best_action, best_value = a, value
-    return best_action
-
-
 def greedy_choice(b: Belief, cfg) -> tuple:
     """Greedy's action and the expected reward of its joint edge."""
     action = act_greedy(b, cfg)
     return (action, expected_reward(b, action, cfg))
+
+
+def outcome(fn, *args):
+    """``fn``'s result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except ModelInvariantError as exc:
+        return (type(exc), str(exc))
+
+
+def assert_equal_the_recursion(b: Belief, cfg, max_depth: int) -> None:
+    """Expectimax's action and value at depths 1 to ``max_depth`` are the
+    belief recursion's, or raise its error, and greedy's choice is depth 1's."""
+    assert outcome(greedy_choice, b, cfg) == outcome(value_expectimax, b, 1, cfg)
+    for depth in range(1, max_depth + 1):
+        want = outcome(reference_expectimax, b, depth, cfg)
+        assert outcome(value_expectimax, b, depth, cfg) == want
+
+
+class CountingDict(dict):
+    """A node store that counts how often it is emptied."""
+
+    clears = 0
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
 
 
 class RecordingPolicy:
@@ -256,7 +272,8 @@ def test_greedy_single_legal_action(small_cfg):
     assert a in set(sorted_legal_actions(done_like, small_cfg))
 
 
-def test_greedy_serves_neutral_table_when_co_located(paper_cfg):
+def neutral_co_located(paper_cfg) -> tuple:
+    """One table at the robot's cell, its satisfaction surely 3: a config and belief."""
     cfg = validate_config(
         dataclasses.replace(
             paper_cfg, n_tables=1, table_positions=((2, 2),), robot_start=(2, 2),
@@ -264,11 +281,11 @@ def test_greedy_serves_neutral_table_when_co_located(paper_cfg):
         )
     )
     base = belief_init(cfg)
-    b = Belief(
-        robot=base.robot,
-        observables=base.observables,
-        satisfaction=((0.0, 0.0, 0.0, 1.0, 0.0, 0.0),),
-    )
+    return cfg, Belief(base.robot, base.observables, ((0.0, 0.0, 0.0, 1.0, 0.0, 0.0),))
+
+
+def test_greedy_serves_neutral_table_when_co_located(paper_cfg):
+    cfg, b = neutral_co_located(paper_cfg)
     assert act_greedy(b, cfg) == serve(0)
     # oracle: serve's one-step expectation (12) beats every alternative
     values = {a: expected_reward(b, a, cfg) for a in sorted_legal_actions(b, cfg)}
@@ -287,7 +304,7 @@ def test_greedy_argmax_invariant_to_positive_scaling(two_cfg):
 
 def test_greedy_matches_manual_argmax_with_tie_ordering(two_cfg):
     b = waiting_belief(two_cfg, [5, 2])
-    assert act_greedy(b, two_cfg) == reference_greedy(b, two_cfg)
+    assert act_greedy(b, two_cfg) == reference_expectimax(b, 1, two_cfg)[0]
 
 
 # --- expectimax --------------------------------------------------------------------
@@ -348,7 +365,8 @@ def test_expectimax_value_nondecreasing_with_optional_waiting(small_cfg):
 
 @pytest.mark.parametrize(
     "scenario, max_depth, n_beliefs",
-    [("small-1table", 3, None), ("two-tables", 3, None), ("paper-3tables", 2, 40)],
+    [("small-1table", 3, None), ("two-tables", 3, None), ("paper-3tables", 2, 40),
+     ("small-1table", 4, None), ("two-tables", 4, None), ("paper-3tables", 4, 12)],
 )
 @pytest.mark.parametrize("kind", ["greedy", "random"])
 def test_expectimax_and_greedy_equal_the_belief_recursion(scenario, max_depth, n_beliefs, kind):
@@ -358,36 +376,42 @@ def test_expectimax_and_greedy_equal_the_belief_recursion(scenario, max_depth, n
     beliefs = episode_beliefs(cfg, kind, range(2))[:n_beliefs]
     assert beliefs
     for b in beliefs:
-        assert act_greedy(b, cfg) == reference_greedy(b, cfg)
-        assert value_expectimax(b, 1, cfg) == greedy_choice(b, cfg)
-        for depth in range(1, max_depth + 1):
-            action, value = value_expectimax(b, depth, cfg)
-            ref_action, ref_value = reference_expectimax(b, depth, cfg)
-            assert action == ref_action
-            assert value == ref_value
+        assert_equal_the_recursion(b, cfg, max_depth)
 
 
 @settings(max_examples=25, deadline=None)
 @given(cfg=small_configs(), seed=st.integers(0, 2**16))
 def test_expectimax_and_greedy_equal_the_belief_recursion_on_small_configs(cfg, seed):
     for b in episode_beliefs(cfg, "random", [seed])[:8]:
-        assert act_greedy(b, cfg) == reference_greedy(b, cfg)
-        assert value_expectimax(b, 1, cfg) == greedy_choice(b, cfg)
-        for depth in (1, 2, 3):
-            assert value_expectimax(b, depth, cfg) == reference_expectimax(b, depth, cfg)
+        assert_equal_the_recursion(b, cfg, 3)
+
+
+@pytest.mark.parametrize("scenario", ["two-tables", "paper-3tables"])
+def test_expectimax_and_greedy_equal_the_belief_recursion_on_tiny_departed_and_massless_vectors(
+    scenario,
+):
+    """A 5e-324 entry is a level with mass; a departed table is skipped, with
+    or without mass; an active massless one raises the recursion's error."""
+    cfg = SCENARIOS[scenario]()
+    k, last = cfg.sat_max + 1, cfg.n_tables - 1
+    massless = (0.0,) * k
+    tiny = (5e-324,) + (0.0,) * (k - 3) + (0.25, 0.75 - 5e-324)
+    for b in episode_beliefs(cfg, "greedy", [0])[1:8:3]:
+        departed = b.observables[:last] + (dataclasses.replace(b.observables[last], hand_raise=0),)
+        for observables, sat in [
+            (b.observables, (tiny,) + b.satisfaction[1:]),
+            (b.observables, b.satisfaction[:last] + ((0.0,) * (k - 1) + (5e-324,),)),
+            (departed, b.satisfaction),
+            (departed, b.satisfaction[:last] + (massless,)),
+            (departed, (tiny,) * last + (massless,)),
+            (b.observables, b.satisfaction[:last] + (massless,)),
+            (b.observables, (massless,) * cfg.n_tables),
+        ]:
+            assert_equal_the_recursion(Belief(b.robot, observables, sat), cfg, 3)
 
 
 def test_expectimax_and_greedy_are_independent_of_the_store(two_cfg, monkeypatch):
     """Emptying the node store mid-decision changes no action and no value bit."""
-    from restaurant_pomdp import kernel as kernel_module
-
-    class CountingDict(dict):
-        clears = 0
-
-        def clear(self):
-            self.clears += 1
-            super().clear()
-
     cfg = dataclasses.replace(two_cfg, horizon=29)  # a config no other test uses
     beliefs = episode_beliefs(two_cfg, "greedy", [0])[:10]
     kernel = table_kernel(cfg)
@@ -403,14 +427,6 @@ def test_expectimax_and_greedy_are_independent_of_the_store(two_cfg, monkeypatch
         assert v.hex() == lv.hex()
 
 
-def test_expectimax_rejects_a_massless_belief(two_cfg):
-    base = belief_init(two_cfg)
-    massless = tuple(0.0 for _ in base.satisfaction[1])
-    b = Belief(base.robot, base.observables, (base.satisfaction[0], massless))
-    with pytest.raises(ModelInvariantError, match="no mass"):
-        value_expectimax(b, 1, two_cfg)
-
-
 @pytest.mark.parametrize("depth", [1, 2, 3])
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_expectimax_rejects_a_massless_vector_at_every_depth(scenario, depth):
@@ -424,196 +440,6 @@ def test_expectimax_rejects_a_massless_vector_at_every_depth(scenario, depth):
     massless = Belief(b.robot, b.observables, sat)
     with pytest.raises(ModelInvariantError, match=f"table {last}: belief vector has no mass"):
         value_expectimax(massless, depth, cfg)
-
-
-# --- supports: the edge methods over levels with mass ---------------------------------
-#
-# The edge methods, greedy's scan and the expectimax recursion as they were
-# before they read one support per node, copied unchanged. Every full vector
-# is walked level by level; the current code must match them bit for bit.
-
-
-def reference_edge_expected_reward(edge, observables: tuple, satisfaction: tuple) -> float:
-    total = 0.0
-    for obs, vec, table_edge in zip(observables, satisfaction, edge.tables):
-        if obs.hand_raise == 0:
-            continue
-        er = table_edge.expected
-        for sat, p in enumerate(vec):
-            if p == 0.0:
-                continue
-            total += p * er[sat]
-    return total
-
-
-def reference_edge_predict(edge, observables: tuple, satisfaction: tuple) -> tuple:
-    new_vecs = []
-    for i, (obs, vec, table_edge) in enumerate(zip(observables, satisfaction, edge.tables)):
-        if obs.hand_raise == 0:
-            new_vecs.append(vec)
-            continue
-        rows = table_edge.rows
-        out = [0.0] * len(vec)
-        has_mass = False
-        for sat, p in enumerate(vec):
-            if p == 0.0:
-                continue
-            has_mass = True
-            for ns, q, _ in rows[sat]:
-                out[ns] += p * q
-        if not has_mass:
-            raise ModelInvariantError(f"table {i}: belief vector has no mass")
-        new_vecs.append(tuple(out))
-    return tuple(new_vecs)
-
-
-def reference_greedy_scan(kernel, node, sat: tuple) -> tuple:
-    observables = node.observables
-    acts = node.actions or kernel.actions(node)
-    edges = node.edges
-    best_action = acts[0]
-    best_value = -math.inf
-    for idx, a in enumerate(acts):
-        edge = kernel.joint_edge(node, idx) if edges[idx] is None else edges[idx]
-        value = reference_edge_expected_reward(edge, observables, sat)
-        if value > best_value:
-            best_action, best_value = a, value
-    return best_action, best_value
-
-
-def reference_value_expectimax(b: Belief, depth: int, cfg) -> tuple:
-    kernel = table_kernel(cfg)
-    actions = kernel.actions
-    joint_edge = kernel.joint_edge
-    gamma = cfg.gamma
-    memo = {}
-
-    def rec(node, sat, remaining):
-        if remaining == 0 or node.done:
-            return (None, 0.0)
-        key = (node, sat, remaining)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if remaining == 1:
-            mass_support(node.observables, sat)
-            memo[key] = result = reference_greedy_scan(kernel, node, sat)
-            return result
-        observables = node.observables
-        acts = node.actions or actions(node)
-        edges = node.edges
-        best_action = None
-        best_value = -math.inf
-        for idx, a in enumerate(acts):
-            edge = joint_edge(node, idx) if edges[idx] is None else edges[idx]
-            er = reference_edge_expected_reward(edge, observables, sat)
-            next_sat = reference_edge_predict(edge, observables, sat)
-            value = er + gamma**edge.duration * rec(edge.next, next_sat, remaining - 1)[1]
-            if value > best_value:
-                best_action, best_value = a, value
-        memo[key] = (best_action, best_value)
-        return (best_action, best_value)
-
-    return rec(kernel.node(b.robot, b.observables), b.satisfaction, depth)
-
-
-def hex_vectors(vectors: tuple) -> tuple:
-    return tuple(tuple(float(p).hex() for p in vec) for vec in vectors)
-
-
-def outcome(fn, *args):
-    """``fn``'s result, or the type and message of what it raised."""
-    try:
-        return fn(*args)
-    except ModelInvariantError as exc:
-        return (type(exc), str(exc))
-
-
-def assert_supports_match_the_reference(b: Belief, cfg, depths) -> None:
-    """Every edge of the belief's node, greedy and expectimax at ``depths``
-    give the reference's actions, value bits and vector bits."""
-    kernel = table_kernel(cfg)
-    node = kernel.node(b.robot, b.observables)
-    sat = b.satisfaction
-    try:
-        support = mass_support(b.observables, sat)
-    except ModelInvariantError as exc:
-        support = None
-        raised = (type(exc), str(exc))
-    shared = {}
-    for idx in range(len(kernel.actions(node))):
-        edge = kernel.follow(node, node.actions[idx])
-        want_predict = outcome(reference_edge_predict, edge, b.observables, sat)
-        got_dense = outcome(edge.predict, sat, dense_support(sat))
-        if support is None:
-            assert got_dense == want_predict == raised
-            continue
-        want_er = reference_edge_expected_reward(edge, b.observables, sat)
-        for got_er in (
-            edge.expected_reward(support),
-            edge.expected_reward(dense_support(sat)),
-        ):
-            assert got_er.hex() == want_er.hex()
-        for got in (got_dense, edge.predict(sat, support), edge.predict(sat, support, shared)):
-            assert hex_vectors(got) == hex_vectors(want_predict)
-    if support is not None:
-        action, value = planners._greedy_scan(kernel, node, support)
-        ref_action, ref_value = reference_greedy_scan(kernel, node, sat)
-        assert action == ref_action == act_greedy(b, cfg)
-        assert value.hex() == ref_value.hex()
-    for depth in depths:
-        got = outcome(value_expectimax, b, depth, cfg)
-        want = outcome(reference_value_expectimax, b, depth, cfg)
-        if support is None:
-            assert got == want == raised
-        else:
-            assert got[0] == want[0]
-            assert got[1].hex() == want[1].hex()
-
-
-@pytest.mark.parametrize(
-    "scenario, n_beliefs", [("small-1table", None), ("two-tables", None), ("paper-3tables", 12)]
-)
-@pytest.mark.parametrize("kind", ["greedy", "random"])
-def test_supports_match_the_full_vector_reference(scenario, n_beliefs, kind):
-    cfg = SCENARIOS[scenario]()
-    beliefs = episode_beliefs(cfg, kind, range(2))[:n_beliefs]
-    assert beliefs
-    for b in beliefs:
-        assert_supports_match_the_reference(b, cfg, depths=(1, 2, 3, 4))
-
-
-@pytest.mark.parametrize("scenario", ["two-tables", "paper-3tables"])
-def test_supports_match_the_reference_on_tiny_entries_and_departed_tables(scenario):
-    """A 5e-324 entry is a level with mass; a departed table is skipped, with
-    or without mass, and an active massless one raises as before."""
-    cfg = SCENARIOS[scenario]()
-    k = cfg.sat_max + 1
-    last = cfg.n_tables - 1
-    massless = (0.0,) * k
-    tiny = (5e-324,) + (0.0,) * (k - 3) + (0.25, 0.75 - 5e-324)
-    for b in episode_beliefs(cfg, "greedy", [0])[1:8:3]:
-        departed = b.observables[:last] + (dataclasses.replace(b.observables[last], hand_raise=0),)
-        variants = [
-            (b.observables, (tiny,) + b.satisfaction[1:]),
-            (b.observables, b.satisfaction[:last] + ((0.0,) * (k - 1) + (5e-324,),)),
-            (departed, b.satisfaction),
-            (departed, b.satisfaction[:last] + (massless,)),
-            (departed, (tiny,) * last + (massless,)),
-            (b.observables, b.satisfaction[:last] + (massless,)),
-            (b.observables, (massless,) * cfg.n_tables),
-        ]
-        for observables, sat in variants:
-            assert_supports_match_the_reference(
-                Belief(b.robot, observables, sat), cfg, depths=(1, 2, 3)
-            )
-
-
-@settings(max_examples=25, deadline=None)
-@given(cfg=small_configs(), seed=st.integers(0, 2**16))
-def test_supports_match_the_full_vector_reference_on_small_configs(cfg, seed):
-    for b in episode_beliefs(cfg, "random", [seed])[:6]:
-        assert_supports_match_the_reference(b, cfg, depths=(1, 2, 3))
 
 
 def test_expectimax_propagates_each_table_edge_once_per_node(two_cfg, monkeypatch):
@@ -640,8 +466,9 @@ def test_expectimax_propagates_each_table_edge_once_per_node(two_cfg, monkeypatc
     distinct_edges = {(i, id(edge.tables[i])) for edge in node.edges for i in active}
     propagated = {id(out[i]) for _, out in outputs for i in active}
     assert len(propagated) == len(distinct_edges) < len(node.edges) * len(active)
-    for edge, out in outputs:
-        assert out == reference_edge_predict(edge, b.observables, b.satisfaction)
+    # Over a copy: belief_predict calls the recording predict, which appends.
+    for a, (_, out) in zip(node.actions, list(outputs)):
+        assert out == belief_predict(b, a, two_cfg)[0].satisfaction
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -964,14 +791,7 @@ def test_mcts_fixed_seed_deterministic(small_cfg):
 
 def test_mcts_depth_one_matches_greedy_argmax(paper_cfg):
     """With a dominant one-step action, depth-1 search recovers the greedy pick."""
-    cfg = validate_config(
-        dataclasses.replace(
-            paper_cfg, n_tables=1, table_positions=((2, 2),), robot_start=(2, 2),
-            time_max=15,
-        )
-    )
-    base = belief_init(cfg)
-    b = Belief(base.robot, base.observables, ((0.0, 0.0, 0.0, 1.0, 0.0, 0.0),))
+    cfg, b = neutral_co_located(paper_cfg)
     greedy_pick = act_greedy(b, cfg)
     values = sorted(
         (expected_reward(b, a, cfg) for a in sorted_legal_actions(b, cfg)),
@@ -1001,15 +821,6 @@ def test_mcts_reads_table_edges_only_from_the_kernel(two_cfg):
 
 def test_mcts_is_independent_of_the_store(two_cfg, monkeypatch):
     """Cold, warm, and emptied mid-search: the same action and the same value bits."""
-    from restaurant_pomdp import kernel as kernel_module
-
-    class CountingDict(dict):
-        clears = 0
-
-        def clear(self):
-            self.clears += 1
-            super().clear()
-
     cfg = dataclasses.replace(two_cfg, horizon=23)  # a config no other test uses
     b = belief_init(cfg)
     kernel = table_kernel(cfg)
@@ -1050,14 +861,6 @@ def test_mcts_root_draw_at_the_float_sum_takes_the_last_level_with_mass(two_cfg,
         for vec in (split, point)
     ]
     assert searches[0] == searches[1]
-
-
-def test_mcts_rejects_a_massless_belief(two_cfg):
-    base = belief_init(two_cfg)
-    massless = tuple(0.0 for _ in base.satisfaction[0])
-    b = Belief(base.robot, base.observables, (massless, base.satisfaction[1]))
-    with pytest.raises(ModelInvariantError, match="table 0: belief vector has no mass"):
-        mcts_search(b, two_cfg, 20, np.random.default_rng(0), max_depth=3)
 
 
 @pytest.mark.parametrize("budget,max_depth", [(60, 3), (200, 10)])
