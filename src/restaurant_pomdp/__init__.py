@@ -20,7 +20,6 @@ from .config import (
     config_from_json,
     config_to_dict,
     config_to_json,
-    validate_config,
 )
 from .dynamics import (
     TransitionDistribution,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import ConfigError, RestaurantConfig
+from .config import RestaurantConfig
 from .kernel import dense_support, table_kernel
 from .model import (
     Action,
@@ -47,14 +47,11 @@ class Belief:
 
 def belief_init(cfg: RestaurantConfig) -> Belief:
     """Initial belief: configured prior per table, fresh observable state."""
-    prior = cfg.satisfaction_prior
-    if prior is None:
-        raise ConfigError("config must be validated first: satisfaction_prior is unset")
     obs = observe(fresh_table(0))
     return Belief(
         robot=RobotState(*cfg.robot_start),
         observables=(obs,) * cfg.n_tables,
-        satisfaction=(tuple(prior),) * cfg.n_tables,
+        satisfaction=(cfg.satisfaction_prior,) * cfg.n_tables,
     )
 
 

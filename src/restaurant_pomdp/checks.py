@@ -19,7 +19,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .belief import Belief, belief_init, belief_step, observe
-from .config import RestaurantConfig, validate_config
+from .config import RestaurantConfig
 from .dynamics import action_duration, transition_distribution
 from .joint import (
     DEFAULT_SUPPORT_CAP,
@@ -69,7 +69,6 @@ def reachable_joint_states(
     Explores every legal action and every stochastic outcome. Raises
     :class:`SupportCapError` once more than ``cap`` distinct states are seen.
     """
-    cfg = validate_config(cfg)
     prior = cfg.satisfaction_prior
     support = [s for s, p in enumerate(prior) if p > 0.0]
     robot = RobotState(*cfg.robot_start)
@@ -106,7 +105,6 @@ def check_transition_row_sums(
     cfg: RestaurantConfig, cap: int = DEFAULT_STATE_CAP
 ) -> CheckResult:
     """Every reachable (state, action) row of the joint model sums to one."""
-    cfg = validate_config(cfg)
     states = reachable_joint_states(cfg, cap)
     worst = 0.0
     rows = 0
@@ -135,15 +133,12 @@ def check_reward_spot_table(cfg: RestaurantConfig) -> CheckResult:
     Uses the candidate config's reward parameters, so tampering with them is
     detected against the frozen expected values.
     """
-    cfg = validate_config(cfg)
-    probe_cfg = validate_config(
-        RestaurantConfig(
-            n_tables=1,
-            table_positions=((2, 2),),
-            robot_start=(0, 0),
-            sat_max=5,
-            reward=cfg.reward,
-        )
+    probe_cfg = RestaurantConfig(
+        n_tables=1,
+        table_positions=((2, 2),),
+        robot_start=(0, 0),
+        sat_max=5,
+        reward=cfg.reward,
     )
 
     def table(sat: int, t_req: int = 0) -> TableState:
@@ -219,7 +214,6 @@ def check_filter_vs_enumeration(
     satisfaction marginal must match the enumerated joint distribution's
     marginal to within 1e-9 after conditioning on the actual observation.
     """
-    cfg = validate_config(cfg)
     prior = cfg.satisfaction_prior
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -297,7 +291,6 @@ def _random_table_state(rng: np.random.Generator, cfg: RestaurantConfig) -> Tabl
 
 def random_joint_state(rng: np.random.Generator, cfg: RestaurantConfig) -> JointState:
     """A uniformly scrambled (not necessarily reachable) valid joint state."""
-    cfg = validate_config(cfg)
     positions = list(cfg.table_positions) + [cfg.robot_start]
     robot = positions[int(rng.integers(len(positions)))]
     tables = tuple(_random_table_state(rng, cfg) for _ in range(cfg.n_tables))
@@ -308,7 +301,6 @@ def check_marginal_consistency(
     cfg: RestaurantConfig, pairs: int = 500, seed: int = 20240902
 ) -> CheckResult:
     """Per-table marginals of the joint enumeration match the table dynamics."""
-    cfg = validate_config(cfg)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(pairs):
@@ -390,7 +382,6 @@ def check_expected_reward_vs_enumeration(
     must match :func:`expected_reward_by_enumeration` to within
     ``REL_TOLERANCE`` of the larger magnitude.
     """
-    cfg = validate_config(cfg)
     rng = np.random.default_rng(seed)
     worst = 0.0
     pairs = 0

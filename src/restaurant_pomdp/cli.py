@@ -101,17 +101,17 @@ def resolve_config(args: argparse.Namespace) -> RestaurantConfig:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config {args.config} must be a JSON object")
     elif args.scenario:
         doc = config_to_dict(SCENARIOS[args.scenario]())
     else:
         raise ConfigError("one of --config or --scenario is required")
     if args.override:
         doc = apply_overrides(doc, args.override)
-    cfg = config_from_dict(doc)
     if args.seed is not None:
         doc["seed"] = args.seed
-        cfg = config_from_dict(doc)
-    return cfg
+    return config_from_dict(doc)
 
 
 @contextmanager

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import ConfigError, RestaurantConfig
+from .config import RestaurantConfig
 from .model import (
     Action,
     ActionKind,
@@ -94,8 +94,6 @@ def tick_table(ts: TableState, cfg: RestaurantConfig) -> TableState:
     if ts.done:
         raise ValueError("cannot tick a departed table")
     tm = cfg.time_max
-    if tm is None:
-        raise ConfigError("config must be validated first: time_max is unset")
     food, water = ts.food, ts.water
     cooking = ts.cooking_status
     sat = ts.satisfaction

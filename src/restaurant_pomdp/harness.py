@@ -24,7 +24,7 @@ from .belief import (
     belief_init,
     condition,
 )
-from .config import ConfigError, RestaurantConfig, config_to_dict, validate_config
+from .config import ConfigError, RestaurantConfig, config_to_dict
 from .joint import step_joint
 from .kernel import dense_support, table_kernel
 from .model import Action, ActionKind, JointState, initial_joint_state, observe
@@ -98,7 +98,6 @@ def run_episode(policy, cfg: RestaurantConfig, seed: int) -> EpisodeTrace:
     both read that edge. The states and beliefs are those of :func:`.joint.step_joint`
     and :func:`.belief.belief_step`, draw for draw.
     """
-    cfg = validate_config(cfg)
     if isinstance(policy, PolicySpec):
         label = policy.kind
         policy = make_policy(policy, cfg)
@@ -172,7 +171,6 @@ def expected_return(spec: PolicySpec, cfg: RestaurantConfig) -> float:
             f"expected_return needs a policy that draws nothing; {spec.kind} draws "
             "from its random stream"
         )
-    cfg = validate_config(cfg)
     policy = make_policy(spec, cfg)
     kernel = table_kernel(cfg)
     belief = belief_init(cfg)
@@ -197,7 +195,6 @@ def replay_actions(
     Only the initial-state and dynamics streams are consumed, exactly as in
     :func:`run_episode`, so the visited states match the original episode.
     """
-    cfg = validate_config(cfg)
     init_rng, dyn_rng, _ = seed_streams(seed)
     js = initial_joint_state(cfg, init_rng)
     visited = [js]
@@ -272,7 +269,6 @@ def run_batch(
         raise ValueError("episodes must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    cfg = validate_config(cfg)
     jobs = [(spec, cfg, seed) for seed in range(base_seed, base_seed + episodes)]
     if workers == 1:
         return [_episode_summary(job) for job in jobs]
@@ -291,7 +287,6 @@ def evaluate(
     workers: int = 1,
 ) -> Metrics:
     """Aggregate metrics over a seed range; order-independent reduction."""
-    cfg = validate_config(cfg)
     return aggregate(run_batch(spec, cfg, episodes, base_seed, workers), cfg.n_tables)
 
 

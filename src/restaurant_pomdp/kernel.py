@@ -42,8 +42,8 @@ sums have the same terms in the same order either way. The oracles in
 ``joint.enumerate_joint_transitions`` do not read the store.
 
 Stores are keyed by config value, so equal configs share one store; a
-config object seen before is found by its id, as ``validate_config`` returns
-a valid config unchanged.
+config object seen before is found by its id, as a caller keeps passing the
+config object it built.
 """
 
 from __future__ import annotations
@@ -394,14 +394,14 @@ class TableKernel:
 
 
 _kernels: dict[RestaurantConfig, TableKernel] = {}
-# Shortcut from a config object to its store, so that a caller holding the
-# same object does not hash the config again. Each entry keeps its config
-# alive, so an id is never reused while it is here.
+# Shortcut from a config object to its store, so that a caller passing the
+# same object on every decision does not hash the config again. Each entry
+# keeps its config alive, so an id is never reused while it is here.
 _by_id: dict[int, tuple[RestaurantConfig, TableKernel]] = {}
 
 
 def table_kernel(cfg: RestaurantConfig) -> TableKernel:
-    """The store of ``cfg`` (a validated config), shared by equal configs."""
+    """The store of ``cfg``, shared by equal configs."""
     hit = _by_id.get(id(cfg))
     if hit is not None and hit[0] is cfg:
         return hit[1]

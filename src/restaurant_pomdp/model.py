@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .config import ConfigError, RestaurantConfig
+from .config import RestaurantConfig
 
 
 class IllegalActionError(ValueError):
@@ -214,10 +214,7 @@ def initial_joint_state(cfg: RestaurantConfig, rng: np.random.Generator) -> Join
     Each table's satisfaction is drawn independently from the configured
     prior, so identical seeds give identical initial states.
     """
-    prior = cfg.satisfaction_prior
-    if prior is None:
-        raise ConfigError("config must be validated first: satisfaction_prior is unset")
-    levels = tuple(enumerate(prior))
+    levels = tuple(enumerate(cfg.satisfaction_prior))
     tables = tuple(
         fresh_table(sample_outcome(levels, rng)[0]) for _ in range(cfg.n_tables)
     )

@@ -33,7 +33,9 @@ DEFAULT_EXPLORATION = 20.0
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """Declarative policy selection; kind-specific fields are ignored by others."""
+    """Declarative policy selection, checked when built: an invalid field
+    raises :class:`.config.ConfigError`. Kind-specific fields are ignored by
+    other kinds."""
 
     kind: str
     budget: int = 1000
@@ -41,17 +43,15 @@ class PolicySpec:
     max_depth: int = 10
     depth: int = 3
 
-
-def validate_policy_spec(spec: PolicySpec) -> PolicySpec:
-    if spec.kind not in POLICY_KINDS:
-        raise ConfigError(f"unknown policy kind: {spec.kind!r}")
-    if _require_int("budget", spec.budget) < 1:
-        raise ConfigError("budget must be >= 1")
-    if _require_int("max_depth", spec.max_depth) < 1 or _require_int("depth", spec.depth) < 1:
-        raise ConfigError("search depth must be >= 1")
-    if _require_number("exploration", spec.exploration) < 0:
-        raise ConfigError("exploration constant must be >= 0")
-    return spec
+    def __post_init__(self) -> None:
+        if self.kind not in POLICY_KINDS:
+            raise ConfigError(f"unknown policy kind: {self.kind!r}")
+        if _require_int("budget", self.budget) < 1:
+            raise ConfigError("budget must be >= 1")
+        if _require_int("max_depth", self.max_depth) < 1 or _require_int("depth", self.depth) < 1:
+            raise ConfigError("search depth must be >= 1")
+        if _require_number("exploration", self.exploration) < 0:
+            raise ConfigError("exploration constant must be >= 0")
 
 
 def parse_policy_spec(text: str) -> PolicySpec:
@@ -77,7 +77,7 @@ def parse_policy_spec(text: str) -> PolicySpec:
                 raise ConfigError(
                     f"policy parameter {key} must be {convert.__name__}, got {raw!r}"
                 ) from None
-    return validate_policy_spec(PolicySpec(kind=name, **kwargs))
+    return PolicySpec(kind=name, **kwargs)
 
 
 def sorted_legal_actions(b: Belief, cfg: RestaurantConfig) -> tuple[Action, ...]:
@@ -244,41 +244,6 @@ def value_expectimax(
 # would otherwise store.
 
 
-class _StoreView:
-    """Read-only views of the kernel's joint-state store for one config."""
-
-    __slots__ = ("cfg",)
-
-    def __init__(self, cfg: RestaurantConfig) -> None:
-        self.cfg = cfg
-
-    @property
-    def legal(self) -> dict:
-        """Sorted legal actions of every stored node left at least once."""
-        return {
-            key: node.actions
-            for key, node in table_kernel(self.cfg).nodes.items()
-            if node.actions is not None
-        }
-
-    @property
-    def joint_edges(self) -> dict:
-        """Built joint edges, keyed by (node key, action)."""
-        return {
-            (key, node.actions[i]): edge
-            for key, node in table_kernel(self.cfg).nodes.items()
-            if node.edges is not None
-            for i, edge in enumerate(node.edges)
-            if edge is not None
-        }
-
-    @property
-    def table_edges(self) -> list[TableEdge]:
-        """The distinct table edges the built joint edges are made of."""
-        distinct = {id(e): e for edge in self.joint_edges.values() for e in edge.tables}
-        return list(distinct.values())
-
-
 class _Node:
     """Per-tree visit statistics at one kernel node.
 
@@ -387,7 +352,7 @@ def mcts_search(
                     wa = node.wa
                     idx = node.choice
                     count = na[idx]
-                    # The certificate: see the comment above _StoreView. A NaN
+                    # The certificate: see the comment above _Node. A NaN
                     # anywhere fails it, and the scan is always exact.
                     if not wa[idx] / count + bonus * inv_of[count] - bonus > node.floor:
                         idx = 0
@@ -480,6 +445,41 @@ class GreedyPolicy:
         return act_greedy(b, self.cfg)
 
 
+class _StoreView:
+    """Read-only views of the kernel's joint-state store for one config."""
+
+    __slots__ = ("cfg",)
+
+    def __init__(self, cfg: RestaurantConfig) -> None:
+        self.cfg = cfg
+
+    @property
+    def legal(self) -> dict:
+        """Sorted legal actions of every stored node left at least once."""
+        return {
+            key: node.actions
+            for key, node in table_kernel(self.cfg).nodes.items()
+            if node.actions is not None
+        }
+
+    @property
+    def joint_edges(self) -> dict:
+        """Built joint edges, keyed by (node key, action)."""
+        return {
+            (key, node.actions[i]): edge
+            for key, node in table_kernel(self.cfg).nodes.items()
+            if node.edges is not None
+            for i, edge in enumerate(node.edges)
+            if edge is not None
+        }
+
+    @property
+    def table_edges(self) -> list[TableEdge]:
+        """The distinct table edges the built joint edges are made of."""
+        distinct = {id(e): e for edge in self.joint_edges.values() for e in edge.tables}
+        return list(distinct.values())
+
+
 class MctsPolicy:
     def __init__(self, cfg: RestaurantConfig, spec: PolicySpec) -> None:
         self.cfg = cfg
@@ -508,7 +508,6 @@ class ExpectimaxPolicy:
 
 
 def make_policy(spec: PolicySpec, cfg: RestaurantConfig):
-    spec = validate_policy_spec(spec)
     if spec.kind == "random":
         return RandomPolicy(cfg)
     if spec.kind == "fcfs":

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from restaurant_pomdp.config import RestaurantConfig, validate_config
+from restaurant_pomdp.config import RestaurantConfig
 from restaurant_pomdp.joint import step_joint
 from restaurant_pomdp.model import (
     JointState,
@@ -38,17 +38,15 @@ def small_configs() -> st.SearchStrategy[RestaurantConfig]:
     """Valid single-table configs with varied schedule constants."""
 
     def build(sat_max: int, time_max: int, gamma: float) -> RestaurantConfig:
-        return validate_config(
-            RestaurantConfig(
-                n_tables=1,
-                table_positions=((2, 2),),
-                robot_start=(0, 0),
-                grid_width=5,
-                grid_height=5,
-                sat_max=sat_max,
-                time_max=time_max,
-                gamma=gamma,
-            )
+        return RestaurantConfig(
+            n_tables=1,
+            table_positions=((2, 2),),
+            robot_start=(0, 0),
+            grid_width=5,
+            grid_height=5,
+            sat_max=sat_max,
+            time_max=time_max,
+            gamma=gamma,
         )
 
     return st.builds(

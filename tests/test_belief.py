@@ -14,7 +14,6 @@ from restaurant_pomdp.belief import (
     table_from_observation,
 )
 from restaurant_pomdp.checks import check_filter_vs_enumeration
-from restaurant_pomdp.config import validate_config
 from restaurant_pomdp.joint import step_joint
 from restaurant_pomdp.model import (
     NOOP,
@@ -62,7 +61,7 @@ def test_belief_init_default_point_mass(paper_cfg):
 
 def test_belief_init_uniform_prior(paper_cfg):
     uniform = (1 / 6,) * 6
-    cfg = validate_config(dataclasses.replace(paper_cfg, satisfaction_prior=uniform))
+    cfg = dataclasses.replace(paper_cfg, satisfaction_prior=uniform)
     b = belief_init(cfg)
     assert all(vec == uniform for vec in b.satisfaction)
 
@@ -85,10 +84,8 @@ def _single_table_belief(cfg, vec, obs=None) -> Belief:
 
 
 def test_serve_at_top_keeps_point_mass(paper_cfg):
-    cfg = validate_config(
-        dataclasses.replace(paper_cfg, n_tables=1, table_positions=((2, 2),),
-                            robot_start=(2, 2), time_max=15)
-    )
+    cfg = dataclasses.replace(paper_cfg, n_tables=1, table_positions=((2, 2),),
+                              robot_start=(2, 2), time_max=15)
     b = _single_table_belief(cfg, (0, 0, 0, 0, 0, 1.0))
     predicted, duration = belief_predict(b, serve(0), cfg)
     assert duration == 1
@@ -96,10 +93,8 @@ def test_serve_at_top_keeps_point_mass(paper_cfg):
 
 
 def test_serve_pushes_point_mass_through_the_split(paper_cfg):
-    cfg = validate_config(
-        dataclasses.replace(paper_cfg, n_tables=1, table_positions=((2, 2),),
-                            robot_start=(2, 2), time_max=15)
-    )
+    cfg = dataclasses.replace(paper_cfg, n_tables=1, table_positions=((2, 2),),
+                              robot_start=(2, 2), time_max=15)
     b = _single_table_belief(cfg, (0, 0, 0, 1.0, 0, 0))
     predicted, _ = belief_predict(b, serve(0), cfg)
     vec = predicted.satisfaction[0]
@@ -109,10 +104,8 @@ def test_serve_pushes_point_mass_through_the_split(paper_cfg):
 
 
 def test_noop_without_decay_crossing_is_identity_on_satisfaction(paper_cfg):
-    cfg = validate_config(
-        dataclasses.replace(paper_cfg, n_tables=1, table_positions=((2, 2),),
-                            robot_start=(2, 2), time_max=15)
-    )
+    cfg = dataclasses.replace(paper_cfg, n_tables=1, table_positions=((2, 2),),
+                              robot_start=(2, 2), time_max=15)
     uniform = (1 / 6,) * 6
     b = _single_table_belief(cfg, uniform)  # wait 0 -> 1 crosses nothing
     predicted, _ = belief_predict(b, NOOP, cfg)
@@ -121,10 +114,8 @@ def test_noop_without_decay_crossing_is_identity_on_satisfaction(paper_cfg):
 
 
 def test_noop_with_decay_crossing_shifts_mass_down(paper_cfg):
-    cfg = validate_config(
-        dataclasses.replace(paper_cfg, n_tables=1, table_positions=((2, 2),),
-                            robot_start=(2, 2), time_max=15)
-    )
+    cfg = dataclasses.replace(paper_cfg, n_tables=1, table_positions=((2, 2),),
+                              robot_start=(2, 2), time_max=15)
     obs = dataclasses.replace(observe(fresh_table(0)), t_since_request=2)
     uniform = (1 / 6,) * 6
     b = _single_table_belief(cfg, uniform, obs)

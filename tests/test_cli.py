@@ -35,6 +35,14 @@ def test_run_missing_config_exits_two_naming_path(tmp_path, capsys):
     assert "/no/such/config.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [[], ["--seed", "3"], ["--override", "horizon=1"]])
+def test_run_config_file_not_an_object_exits_two(extra, tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "t"), *extra]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
 def test_run_requires_config_or_scenario(capsys):
     assert main(["run"]) == 2
     assert "config" in capsys.readouterr().err
@@ -57,7 +65,12 @@ def test_run_horizon_zero_override(tmp_path, capsys):
     ["table_positions=5", "robot_start=7", "satisfaction_prior=3", "reward.penalty_bases=2",
      'gamma="x"', 'reward.serve_scale="a"', "gamma=true",
      # json.loads reads NaN and Infinity as floats; no config number may be either.
-     "satisfaction_prior=[NaN,0,0,0,0,1.0]", "reward.serve_scale=NaN", "gamma=Infinity"],
+     "satisfaction_prior=[NaN,0,0,0,0,1.0]", "reward.serve_scale=NaN", "gamma=Infinity",
+     "reward=null"]
+    # Nor an int too large for a float.
+    + [pytest.param(override.replace("BIG", "1" + "0" * 400), id=override)
+       for override in ("reward.penalty_bases=[BIG,1.7,1.4]", "reward.serve_scale=BIG",
+                        "satisfaction_prior=[0,0,0,0,0,BIG]")],
 )
 def test_run_config_value_of_the_wrong_type_exits_two(override, tmp_path, capsys):
     code = main([

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 
@@ -15,7 +16,6 @@ from restaurant_pomdp.config import (
     config_from_json,
     config_to_dict,
     config_to_json,
-    validate_config,
 )
 
 
@@ -30,31 +30,27 @@ def base_cfg(**kwargs) -> RestaurantConfig:
 
 
 def test_time_max_derived_from_tables_and_sat_max():
-    cfg = validate_config(base_cfg())
+    cfg = base_cfg()
     assert cfg.time_max == 3 * 5 == 15
 
 
 def test_time_max_single_table():
-    cfg = validate_config(
-        base_cfg(n_tables=1, table_positions=((2, 2),))
-    )
+    cfg = base_cfg(n_tables=1, table_positions=((2, 2),))
     assert cfg.time_max == 5
 
 
 def test_time_max_explicit_override_kept():
-    cfg = validate_config(base_cfg(time_max=7))
+    cfg = base_cfg(time_max=7)
     assert cfg.time_max == 7
 
 
 def test_unnormalized_prior_rejected():
     with pytest.raises(ConfigError, match="sums to"):
-        validate_config(
-            base_cfg(satisfaction_prior=(0.5, 0.5, 0.0, 0.0, 0.0, 0.1))
-        )
+        base_cfg(satisfaction_prior=(0.5, 0.5, 0.0, 0.0, 0.0, 0.1))
 
 
 def test_default_prior_is_point_mass_at_initial_satisfaction():
-    cfg = validate_config(base_cfg(initial_satisfaction=3))
+    cfg = base_cfg(initial_satisfaction=3)
     assert cfg.satisfaction_prior == (0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
 
 
@@ -71,51 +67,57 @@ def test_default_prior_is_point_mass_at_initial_satisfaction():
         dict(sat_max=0),
         dict(satisfaction_prior=(0.5, 0.5)),  # wrong length
         dict(satisfaction_prior=(1.5, -0.5, 0.0, 0.0, 0.0, 0.0)),
-        dict(reward=RewardParams(penalty_bases=(1.0, 1.7, 1.4))),
-        dict(reward=RewardParams(time_cap=-1)),
+        dict(reward=dict(penalty_bases=(1.0, 1.7, 1.4))),
+        dict(reward=dict(time_cap=-1)),
         dict(duration_max_nav=0),
         # NaN fails every bound check and an infinity passes some: both are refused.
         dict(satisfaction_prior=(math.nan, 0.0, 0.0, 0.0, 0.0, 1.0)),
-        dict(reward=RewardParams(penalty_bases=(math.inf, 1.7, 1.4))),
+        dict(reward=dict(penalty_bases=(math.inf, 1.7, 1.4))),
     ]
-    + [dict(reward=RewardParams(**{name: value}))
+    + [dict(reward={name: value})
        for name in ("serve_scale", "nav_divisor", "time_cap", "improvement_bonus")
-       for value in (math.nan, math.inf, -math.inf)],
+       for value in (math.nan, math.inf, -math.inf)]
+    # An int too large for a float is refused as well.
+    + [dict(reward=dict(serve_scale=10**400)),
+       dict(reward=dict(penalty_bases=(10**400, 1.7, 1.4))),
+       dict(satisfaction_prior=(0, 0, 0, 0, 0, 10**400))],
 )
 def test_invalid_configs_rejected(bad):
-    with pytest.raises(ConfigError):
-        validate_config(base_cfg(**bad))
+    """A bad field is refused when a config is built and when a valid one is replaced."""
+    for build in (base_cfg, functools.partial(dataclasses.replace, base_cfg())):
+        with pytest.raises(ConfigError):
+            build(**{k: RewardParams(**v) if k == "reward" else v for k, v in bad.items()})
 
 
 def test_json_round_trip_is_identity():
-    cfg = validate_config(base_cfg(seed=17, horizon=33))
+    cfg = base_cfg(seed=17, horizon=33)
     again = config_from_json(config_to_json(cfg))
     assert again == cfg
 
 
 def test_unknown_top_level_key_rejected():
-    doc = config_to_dict(validate_config(base_cfg()))
+    doc = config_to_dict(base_cfg())
     doc["tip_multiplier"] = 2
     with pytest.raises(ConfigError, match="tip_multiplier"):
         config_from_dict(doc)
 
 
 def test_unknown_reward_key_rejected():
-    doc = config_to_dict(validate_config(base_cfg()))
+    doc = config_to_dict(base_cfg())
     doc["reward"]["bribe"] = 1
     with pytest.raises(ConfigError, match="bribe"):
         config_from_dict(doc)
 
 
 def test_missing_required_key_rejected():
-    doc = config_to_dict(validate_config(base_cfg()))
+    doc = config_to_dict(base_cfg())
     del doc["table_positions"]
     with pytest.raises(ConfigError, match="table_positions"):
         config_from_dict(doc)
 
 
 def test_overrides_patch_declared_keys():
-    doc = config_to_dict(validate_config(base_cfg()))
+    doc = config_to_dict(base_cfg())
     patched = apply_overrides(doc, ["horizon=0", "gamma=0.9"])
     cfg = config_from_dict(patched)
     assert cfg.horizon == 0
@@ -123,14 +125,14 @@ def test_overrides_patch_declared_keys():
 
 
 def test_override_nested_reward():
-    doc = config_to_dict(validate_config(base_cfg()))
+    doc = config_to_dict(base_cfg())
     patched = apply_overrides(doc, ["reward.penalty_bases=[3.0,1.7,1.4]"])
     cfg = config_from_dict(patched)
     assert cfg.reward.penalty_bases == (3.0, 1.7, 1.4)
 
 
 def test_override_unknown_key_rejected():
-    doc = config_to_dict(validate_config(base_cfg()))
+    doc = config_to_dict(base_cfg())
     with pytest.raises(ConfigError, match="unknown override key"):
         apply_overrides(doc, ["tables=9"])
 
@@ -152,7 +154,7 @@ def test_config_to_dict_is_a_fresh_copy_with_lists(name):
 def test_scenarios_all_validate():
     for name, build in SCENARIOS.items():
         cfg = build()
-        assert cfg == validate_config(cfg), name
+        assert None not in (cfg.time_max, cfg.initial_satisfaction, cfg.satisfaction_prior), name
 
 
 @given(
@@ -162,16 +164,14 @@ def test_scenarios_all_validate():
 )
 def test_round_trip_over_generated_configs(n_tables, sat_max, seed):
     positions = tuple((i, 2 * i) for i in range(n_tables))
-    cfg = validate_config(
-        RestaurantConfig(
-            n_tables=n_tables,
-            table_positions=positions,
-            robot_start=(0, 9),
-            grid_width=10,
-            grid_height=10,
-            sat_max=sat_max,
-            seed=seed,
-        )
+    cfg = RestaurantConfig(
+        n_tables=n_tables,
+        table_positions=positions,
+        robot_start=(0, 9),
+        grid_width=10,
+        grid_height=10,
+        sat_max=sat_max,
+        seed=seed,
     )
     assert config_from_json(config_to_json(cfg)) == cfg
     assert cfg.time_max == n_tables * sat_max
@@ -179,69 +179,22 @@ def test_round_trip_over_generated_configs(n_tables, sat_max, seed):
 
 
 def test_validate_is_idempotent():
-    cfg = validate_config(base_cfg())
-    assert validate_config(cfg) == cfg
-    assert dataclasses.replace(cfg) == cfg
-
-
-def test_validate_returns_a_valid_config_itself():
-    for name, build in SCENARIOS.items():
-        cfg = build()
-        assert validate_config(cfg) is cfg, name
-    raw = base_cfg()
-    cfg = validate_config(raw)
-    assert cfg is not raw
-    assert (cfg.time_max, cfg.initial_satisfaction) == (15, 5)
-    assert cfg.satisfaction_prior == (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+    """Rebuilding a built config gives it back, down to its repr."""
+    for cfg in [base_cfg()] + [build() for build in SCENARIOS.values()]:
+        again = dataclasses.replace(cfg)
+        assert again == cfg
+        assert repr(again) == repr(cfg)
 
 
 def test_validate_converts_values_that_only_compare_equal():
-    """An int prior or penalty base equals its float form, and is still converted."""
-    cfg = validate_config(base_cfg())
-    for loose in (
-        dataclasses.replace(cfg, satisfaction_prior=(0, 0, 0, 0, 0, 1)),
-        dataclasses.replace(cfg, reward=RewardParams(penalty_bases=(2, 1.7, 1.4))),
-    ):
-        assert loose == cfg
-        out = validate_config(loose)
-        assert out is not loose
-        assert repr(out) == repr(cfg)
-
-
-def test_validating_a_valid_config_again_builds_nothing(monkeypatch):
-    """A config that validated to itself is found by id the next time: no
-    replaced config is built, and normalizing and rejecting are unchanged."""
-    from restaurant_pomdp import config as config_module
-
-    built = []
-    real_replace = config_module.replace
-
-    def counting_replace(*args, **kwargs):
-        built.append(args[0])
-        return real_replace(*args, **kwargs)
-
-    monkeypatch.setattr(config_module, "replace", counting_replace)
-    cfg = dataclasses.replace(validate_config(base_cfg()), seed=23)  # a new object
-    assert validate_config(cfg) is cfg
-    assert built
-    built.clear()
-    assert validate_config(cfg) is cfg
-    assert config_to_dict(cfg)["seed"] == 23
-    assert built == []
-
-    listed = dataclasses.replace(
-        cfg, table_positions=[list(p) for p in cfg.table_positions], robot_start=[5, 5]
+    """An int prior, int penalty bases and list positions are stored in their
+    normal forms once built: float and int tuples."""
+    cfg = base_cfg()
+    loose = base_cfg(
+        table_positions=[[2, 2], [2, 8], [8, 5]],
+        robot_start=[5, 5],
+        satisfaction_prior=(0, 0, 0, 0, 0, 1),
+        reward=RewardParams(penalty_bases=[2, 1.7, 1.4]),
     )
-    for _ in range(2):
-        out = validate_config(listed)
-        assert out is not listed
-        assert out.table_positions == ((2, 2), (2, 8), (8, 5))
-        assert out.robot_start == (5, 5)
-        assert repr(out) == repr(cfg)
-    for _ in range(2):
-        with pytest.raises(ConfigError, match="gamma"):
-            validate_config(dataclasses.replace(cfg, gamma=1.5))
-
-    for seed in range(2 * config_module.VALID_MEMO_LIMIT):
-        validate_config(dataclasses.replace(cfg, seed=seed))
-    assert len(config_module._validated) <= config_module.VALID_MEMO_LIMIT
+    assert repr(loose) == repr(cfg)
+    assert hash(loose) == hash(cfg)

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from restaurant_pomdp.belief import belief_init
-from restaurant_pomdp.config import ConfigError
 from restaurant_pomdp.dynamics import (
     apply_serve,
     navigation_duration,
@@ -111,24 +109,6 @@ def test_tick_on_done_table_raises(paper_cfg):
     done = TableState(0, 3, 3, 2, 8, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         tick_table(done, paper_cfg)
-
-
-def test_tick_on_unvalidated_config_raises(paper_cfg):
-    unvalidated = dataclasses.replace(paper_cfg, time_max=None)
-    with pytest.raises(ConfigError, match="time_max"):
-        tick_table(fresh_table(5), unvalidated)
-
-
-def test_belief_init_on_unvalidated_config_raises(paper_cfg):
-    unvalidated = dataclasses.replace(paper_cfg, satisfaction_prior=None)
-    with pytest.raises(ConfigError, match="satisfaction_prior"):
-        belief_init(unvalidated)
-
-
-def test_initial_joint_state_on_unvalidated_config_raises(paper_cfg):
-    unvalidated = dataclasses.replace(paper_cfg, satisfaction_prior=None)
-    with pytest.raises(ConfigError, match="satisfaction_prior"):
-        initial_joint_state(unvalidated, np.random.default_rng(0))
 
 
 def test_sample_outcome_draws_only_for_a_split():

@@ -17,7 +17,6 @@ from restaurant_pomdp.config import (
     ConfigError,
     RestaurantConfig,
     config_to_dict,
-    validate_config,
 )
 from restaurant_pomdp.harness import (
     EpisodeTrace,
@@ -60,7 +59,7 @@ from .strategies import small_configs
 
 
 def test_horizon_zero_gives_empty_trace(two_cfg):
-    cfg = validate_config(dataclasses.replace(two_cfg, horizon=0))
+    cfg = dataclasses.replace(two_cfg, horizon=0)
     trace = run_episode(PolicySpec(kind="random"), cfg, 3)
     assert trace.steps == ()
     assert trace.discounted_return == 0.0
@@ -80,9 +79,7 @@ def test_different_seeds_differ(two_cfg):
 
 def test_policy_choice_does_not_perturb_environment_streams(two_cfg):
     """Initial satisfactions depend only on the seed, not on the policy."""
-    uniform = validate_config(
-        dataclasses.replace(two_cfg, satisfaction_prior=(1 / 6,) * 6)
-    )
+    uniform = dataclasses.replace(two_cfg, satisfaction_prior=(1 / 6,) * 6)
     for seed in range(10):
         a = run_episode(PolicySpec(kind="random"), uniform, seed)
         b = run_episode(PolicySpec(kind="greedy"), uniform, seed)
@@ -153,16 +150,14 @@ def test_scripted_optimal_policy_matches_expectimax_value():
     Serving twice at top satisfaction never branches stochastically, and the
     depth-2 expectimax confirms it is optimal, so episode return == value.
     """
-    cfg = validate_config(
-        RestaurantConfig(
-            n_tables=1,
-            table_positions=((2, 2),),
-            robot_start=(2, 2),
-            grid_width=5,
-            grid_height=5,
-            sat_max=5,
-            horizon=2,
-        )
+    cfg = RestaurantConfig(
+        n_tables=1,
+        table_positions=((2, 2),),
+        robot_start=(2, 2),
+        grid_width=5,
+        grid_height=5,
+        sat_max=5,
+        horizon=2,
     )
     _, v_star = value_expectimax(belief_init(cfg), 2, cfg)
 
@@ -181,7 +176,6 @@ def reference_episode(spec: PolicySpec, cfg: RestaurantConfig, seed: int) -> Epi
     every table from its edge's rows at its satisfaction and filters with
     ``belief_step``; ``run_episode`` must record exactly this.
     """
-    cfg = validate_config(cfg)
     policy = make_policy(spec, cfg)
     init_rng, dyn_rng, pol_rng = harness.seed_streams(seed)
     js = initial_joint_state(cfg, init_rng)
@@ -314,7 +308,7 @@ def test_completion_rate_and_max_wait_ranges(two_cfg):
 
 
 def test_summarize_empty_trace(two_cfg):
-    cfg = validate_config(dataclasses.replace(two_cfg, horizon=0))
+    cfg = dataclasses.replace(two_cfg, horizon=0)
     trace = run_episode(PolicySpec(kind="random"), cfg, 0)
     s = summarize(trace)
     assert s.n_steps == 0
@@ -534,7 +528,7 @@ def test_trace_lines_equal_the_reference_on_small_configs(cfg, seed, tmp_path_fa
 
 @pytest.mark.parametrize("scenario", ["small-1table", "two-tables", "paper-3tables"])
 def test_a_trace_without_steps_equals_the_reference(scenario, tmp_path):
-    cfg = validate_config(dataclasses.replace(SCENARIOS[scenario](), horizon=0))
+    cfg = dataclasses.replace(SCENARIOS[scenario](), horizon=0)
     trace = run_episode(PolicySpec(kind="random"), cfg, 0)
     assert trace.steps == ()
     assert len(assert_writes_reference_bytes(trace, tmp_path).splitlines()) == 1

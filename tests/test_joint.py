@@ -7,7 +7,7 @@ from scipy import stats
 
 from restaurant_pomdp.belief import Belief, belief_predict, observe
 from restaurant_pomdp.checks import check_marginal_consistency, random_joint_state
-from restaurant_pomdp.config import RestaurantConfig, validate_config
+from restaurant_pomdp.config import RestaurantConfig
 from restaurant_pomdp.dynamics import (
     action_duration,
     next_robot,
@@ -70,7 +70,7 @@ def test_go_to_moves_robot_and_prices_navigation(two_cfg):
 
 def test_go_to_reward_at_distance_five(two_cfg):
     # robot (3,6) to table 0 at (2,2): distance 5, duration ceil(3*5/20) = 1
-    cfg = validate_config(dataclasses.replace(two_cfg, robot_start=(3, 6)))
+    cfg = dataclasses.replace(two_cfg, robot_start=(3, 6))
     js = initial_joint_state(cfg, np.random.default_rng(0))
     res = step_joint(js, go_to(0), cfg, np.random.default_rng(0))
     assert res.duration == 1
@@ -124,8 +124,8 @@ def test_nonserve_transitions_are_deterministic(two_cfg):
 
 def test_go_to_duration_scales_with_distance(paper_cfg):
     js = initial_joint_state(paper_cfg, np.random.default_rng(0))
-    far = validate_config(
-        dataclasses.replace(paper_cfg, robot_start=(0, 0), table_positions=((10, 10), (2, 8), (8, 5)))
+    far = dataclasses.replace(
+        paper_cfg, robot_start=(0, 0), table_positions=((10, 10), (2, 8), (8, 5))
     )
     js = initial_joint_state(far, np.random.default_rng(0))
     res = step_joint(js, go_to(0), far, np.random.default_rng(1))
@@ -137,16 +137,14 @@ def test_go_to_duration_scales_with_distance(paper_cfg):
 
 def test_single_table_step_equals_direct_composition():
     """step_joint on one table == table dynamics + reward, state by state."""
-    cfg = validate_config(
-        RestaurantConfig(
-            n_tables=1,
-            table_positions=((2, 2),),
-            robot_start=(0, 0),
-            grid_width=5,
-            grid_height=5,
-            sat_max=2,
-            time_max=4,
-        )
+    cfg = RestaurantConfig(
+        n_tables=1,
+        table_positions=((2, 2),),
+        robot_start=(0, 0),
+        grid_width=5,
+        grid_height=5,
+        sat_max=2,
+        time_max=4,
     )
     rng = np.random.default_rng(77)
     oracle_rng = np.random.default_rng(77)
@@ -198,7 +196,7 @@ def test_enumeration_deterministic_action_single_entry(two_cfg):
 
 
 def test_enumeration_serve_split_with_idle_table(two_cfg):
-    cfg = validate_config(dataclasses.replace(two_cfg, robot_start=(2, 2)))
+    cfg = dataclasses.replace(two_cfg, robot_start=(2, 2))
     neutral = dataclasses.replace(fresh_table(3))
     js = JointState(RobotState(2, 2), (neutral, fresh_table(5)), 0)
     entries = enumerate_joint_transitions(js, serve(0), cfg)
@@ -245,7 +243,7 @@ def test_per_table_marginals_match_table_dynamics(two_cfg):
 
 def test_sampled_steps_match_enumeration_chi_square(two_cfg):
     """step_joint sampling agrees with the enumerated distribution."""
-    cfg = validate_config(dataclasses.replace(two_cfg, robot_start=(2, 2)))
+    cfg = dataclasses.replace(two_cfg, robot_start=(2, 2))
     js = JointState(RobotState(2, 2), (fresh_table(2), fresh_table(5)), 0)
     entries = enumerate_joint_transitions(js, serve(0), cfg)
     keys = [e[0] for e in entries]

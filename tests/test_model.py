@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import restaurant_pomdp
-from restaurant_pomdp.config import RestaurantConfig, validate_config
+from restaurant_pomdp.config import RestaurantConfig
 from restaurant_pomdp.joint import step_joint
 from restaurant_pomdp.model import (
     JointState,
@@ -41,8 +41,7 @@ def test_initial_state_default_prior(paper_cfg):
 def test_initial_state_point_mass_prior(paper_cfg):
     import dataclasses
 
-    cfg = validate_config(dataclasses.replace(paper_cfg, initial_satisfaction=3,
-                                              satisfaction_prior=None))
+    cfg = dataclasses.replace(paper_cfg, initial_satisfaction=3, satisfaction_prior=None)
     js = initial_joint_state(cfg, np.random.default_rng(7))
     assert all(ts.satisfaction == 3 for ts in js.tables)
 
@@ -51,7 +50,7 @@ def test_initial_state_uniform_prior_seed_reproducible(paper_cfg):
     import dataclasses
 
     uniform = (1 / 6,) * 6
-    cfg = validate_config(dataclasses.replace(paper_cfg, satisfaction_prior=uniform))
+    cfg = dataclasses.replace(paper_cfg, satisfaction_prior=uniform)
     a = initial_joint_state(cfg, np.random.default_rng(42))
     b = initial_joint_state(cfg, np.random.default_rng(42))
     assert a == b
@@ -135,14 +134,12 @@ def test_positions_always_inside_grid(data):
     height = data.draw(st.integers(2, 12))
     x = data.draw(st.integers(0, width - 1))
     y = data.draw(st.integers(0, height - 1))
-    cfg = validate_config(
-        RestaurantConfig(
-            n_tables=1,
-            table_positions=((x, y),),
-            robot_start=(0, 0),
-            grid_width=width,
-            grid_height=height,
-        )
+    cfg = RestaurantConfig(
+        n_tables=1,
+        table_positions=((x, y),),
+        robot_start=(0, 0),
+        grid_width=width,
+        grid_height=height,
     )
     assert cfg.table_positions[0] == (x, y)
 

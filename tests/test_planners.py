@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from restaurant_pomdp import kernel as kernel_module, planners
 from restaurant_pomdp.belief import Belief, belief_init, belief_predict, observe
-from restaurant_pomdp.config import SCENARIOS, ConfigError, RestaurantConfig, validate_config
+from restaurant_pomdp.config import SCENARIOS, ConfigError, RestaurantConfig
 from restaurant_pomdp.harness import run_episode
 from restaurant_pomdp.kernel import JointEdge, mass_support, table_kernel
 from restaurant_pomdp.model import (
@@ -36,7 +36,6 @@ from restaurant_pomdp.planners import (
     mcts_search,
     parse_policy_spec,
     sorted_legal_actions,
-    validate_policy_spec,
     value_expectimax,
 )
 from restaurant_pomdp.rewards import expected_reward
@@ -157,25 +156,26 @@ def test_parse_policy_spec_round_trip():
      "mcts:rollout=fancy", "mcts:oops=1", "mcts:budget=1.5", "expectimax:depth=x",
      "mcts:exploration=nan", "mcts:exploration=inf", "mcts:budget=5,budget=10"]
     # Only ints (bools excluded) as budget and depths, only numbers as exploration.
-    + [pytest.param(PolicySpec(kind="mcts", **{key: value}), id=f"spec-{key}={value!r}")
+    + [pytest.param({key: value}, id=f"spec-{key}={value!r}")
        for key, values in [("budget", [1.5, True, "3", None]),
                            ("max_depth", [2.0, False]),
                            ("depth", ["3", True]),
                            ("exploration", ["5", None, True])]
-       for value in values],
+       for value in values]
+    + [pytest.param({"exploration": 10**400}, id="spec-exploration=10**400")],
 )
 def test_bad_policy_specs_rejected(bad):
     with pytest.raises(ConfigError):
         if isinstance(bad, str):
             parse_policy_spec(bad)
         else:
-            validate_policy_spec(bad)
+            PolicySpec(kind="mcts", **bad)
 
 
-def test_validate_policy_spec_bounds():
+def test_policy_spec_bounds():
     with pytest.raises(ConfigError):
-        validate_policy_spec(PolicySpec(kind="expectimax", depth=0))
-    assert validate_policy_spec(PolicySpec(kind="mcts", exploration=5)).exploration == 5
+        PolicySpec(kind="expectimax", depth=0)
+    assert PolicySpec(kind="mcts", exploration=5).exploration == 5
 
 
 # --- random ----------------------------------------------------------------------
@@ -274,11 +274,9 @@ def test_greedy_single_legal_action(small_cfg):
 
 def neutral_co_located(paper_cfg) -> tuple:
     """One table at the robot's cell, its satisfaction surely 3: a config and belief."""
-    cfg = validate_config(
-        dataclasses.replace(
-            paper_cfg, n_tables=1, table_positions=((2, 2),), robot_start=(2, 2),
-            time_max=15,
-        )
+    cfg = dataclasses.replace(
+        paper_cfg, n_tables=1, table_positions=((2, 2),), robot_start=(2, 2),
+        time_max=15,
     )
     base = belief_init(cfg)
     return cfg, Belief(base.robot, base.observables, ((0.0, 0.0, 0.0, 1.0, 0.0, 0.0),))
@@ -758,17 +756,15 @@ def test_mcts_equals_the_reference_at_large_exploration_on_small_configs(
 def test_mcts_equals_the_reference_on_exact_ties(monkeypatch):
     """With no bonus, no discount and one ply, actions' values tie exactly;
     the kept choice must yield to the lowest tied index as a scan does."""
-    cfg = validate_config(
-        RestaurantConfig(
-            n_tables=1,
-            table_positions=((2, 2),),
-            robot_start=(0, 0),
-            grid_width=5,
-            grid_height=5,
-            sat_max=4,
-            time_max=2,
-            gamma=1.0,
-        )
+    cfg = RestaurantConfig(
+        n_tables=1,
+        table_positions=((2, 2),),
+        robot_start=(0, 0),
+        grid_width=5,
+        grid_height=5,
+        sat_max=4,
+        time_max=2,
+        gamma=1.0,
     )
     for b in episode_beliefs(cfg, "random", [4])[:4]:
         assert_matches_reference(monkeypatch, b, cfg, 7, 4, exploration=0.0, max_depth=1)
@@ -900,15 +896,13 @@ def test_mcts_runs_on_large_joint_satisfaction_space():
     """Five tables: 6**5 joint satisfaction codes, filled only where visited."""
     from restaurant_pomdp.config import RestaurantConfig
 
-    cfg = validate_config(
-        RestaurantConfig(
-            n_tables=5,
-            table_positions=((0, 0), (0, 4), (4, 0), (4, 4), (2, 2)),
-            robot_start=(1, 1),
-            grid_width=5,
-            grid_height=5,
-            horizon=12,
-        )
+    cfg = RestaurantConfig(
+        n_tables=5,
+        table_positions=((0, 0), (0, 4), (4, 0), (4, 4), (2, 2)),
+        robot_start=(1, 1),
+        grid_width=5,
+        grid_height=5,
+        horizon=12,
     )
     b = belief_init(cfg)
     a = act_mcts(b, cfg, 50, np.random.default_rng(0), max_depth=4)

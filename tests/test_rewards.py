@@ -5,7 +5,7 @@ import pytest
 
 from restaurant_pomdp.belief import Belief, belief_init, observe
 from restaurant_pomdp.checks import REL_TOLERANCE, check_expected_reward_vs_enumeration
-from restaurant_pomdp.config import SCENARIOS, RestaurantConfig, validate_config
+from restaurant_pomdp.config import SCENARIOS, RestaurantConfig
 from restaurant_pomdp.dynamics import action_duration, tick_table
 from restaurant_pomdp.model import (
     IllegalActionError,
@@ -104,16 +104,14 @@ def test_penalty_magnitude_monotone_in_wait_and_severity(paper_cfg):
 
 
 def one_table_cfg(robot=(2, 2)) -> RestaurantConfig:
-    return validate_config(
-        RestaurantConfig(
-            n_tables=1,
-            table_positions=((2, 2),),
-            robot_start=robot,
-            grid_width=5,
-            grid_height=5,
-            sat_max=5,
-            time_max=15,
-        )
+    return RestaurantConfig(
+        n_tables=1,
+        table_positions=((2, 2),),
+        robot_start=robot,
+        grid_width=5,
+        grid_height=5,
+        sat_max=5,
+        time_max=15,
     )
 
 
