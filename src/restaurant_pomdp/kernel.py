@@ -10,26 +10,30 @@ and on an *event*:
 * ``("t", duration)``: anything else (no-op, communication, or an action
   aimed at another table).
 
-A table edge holds the next observation and, for each satisfaction level,
-the rows ``((next_sat, prob, accrued_reward), ...)`` of
+Observations and events are interned to ids, and a table edge, keyed by
+``(observation id, event id)``, holds the next observation and, for each
+satisfaction level, the rows ``((next_sat, prob, accrued_reward), ...)`` of
 :func:`.rewards.table_transition_outcomes`. That function stays the only
 definition of the model: an edge is filled on first use by calling it once
 per satisfaction level, in the same row order, so everything computed from
 an edge is bit-identical to computing it from the model directly.
 
 Table edges compose into one graph of observable joint states. A
-:class:`JointNode` is keyed by ``(robot, observables)`` and holds its sorted
-legal actions and, per action, a :class:`JointEdge`: the next node, the
-tables' edges in table order and their outcomes over joint satisfaction
-codes, each filled on first use. The edge's methods are the expected
-reward, the filter's propagation and the simulator; called one step at a
-time (``rewards.expected_reward``, ``belief.belief_predict``,
+:class:`JointNode` is keyed by ``(robot, observables)`` and carries its
+observation ids, its menu and, per action, a :class:`JointEdge` slot: the
+next node, the tables' edges in table order and their outcomes over joint
+satisfaction codes. Legality reads only the robot and which tables are
+departed or serve-blocked, so nodes with those alike share one menu: the
+sorted legal actions and each action's move (duration, next robot, served
+table, per-table event ids). Actions of one node with equal moves, such as
+no-op and every communication, share one edge object; a slot is filled when
+asked for, from a sibling's edge if one is built. The edge's methods are the
+expected reward, the filter's propagation and the simulator; called one
+step at a time (``rewards.expected_reward``, ``belief.belief_predict``,
 ``joint.step_joint``), they follow one node lookup with
 :meth:`TableKernel.step`. The episode loop of ``harness.run_episode`` and
-the planners (greedy, UCT and expectimax) look up their start node once and
-follow edges by pointer from there with :meth:`TableKernel.follow` or the
-node's ``edges``; expectimax's last ply reads the edges the way greedy
-does, for the expected reward only.
+the planners look up their start node once and follow edges by pointer with
+:meth:`TableKernel.follow` or the node's ``edges``.
 
 The expected reward and the propagation take each table's ``(level, p)``
 pairs: greedy and expectimax build those of the levels with mass once per
@@ -37,9 +41,7 @@ search node (:func:`mass_support`), and expectimax's actions share a
 table's propagated vector where their edges share its table edge; a caller
 that reads one edge once passes whole vectors (:func:`dense_support`). The
 sums have the same terms in the same order either way. The oracles in
-:mod:`.checks`,
-``checks.expected_reward_by_enumeration`` among them, and
-``joint.enumerate_joint_transitions`` do not read the store.
+:mod:`.checks` and ``joint.enumerate_joint_transitions`` do not read the store.
 
 Stores are keyed by config value, so equal configs share one store; a
 config object seen before is found by its id, as a caller keeps passing the
@@ -66,6 +68,7 @@ from .model import (
     manhattan,
     observe,
     sample_outcome,
+    serve_blocked,
     table_from_observation,
 )
 
@@ -79,6 +82,7 @@ NODE_LIMIT = 1 << 16
 class TableEdge:
     """One table over one action: next observation and per-satisfaction rows.
 
+    ``next_id`` is the next observation's id in the store's id table.
     ``rows[sat]`` is ``((next_sat, prob, accrued_reward), ...)`` and
     ``expected[sat]`` is ``sum(prob * accrued_reward)`` over those rows.
     ``departed`` is true when the table had departed before the action; the
@@ -86,6 +90,7 @@ class TableEdge:
     """
 
     next_obs: Observation
+    next_id: int
     departed: bool
     rows: tuple[tuple[tuple[int, float, float], ...], ...]
     expected: tuple[float, ...]
@@ -94,19 +99,22 @@ class TableEdge:
 class JointNode:
     """One observable joint state, shared by every reader of a config.
 
-    ``actions`` (the legal set in the fixed tie-breaking order of
+    ``ids`` are the observations' ids. ``menu`` (see :meth:`TableKernel.actions`),
+    ``actions`` (the menu's legal actions, in the fixed tie-breaking order of
     :mod:`.model`) and ``edges`` are ``None`` until :meth:`TableKernel.actions`
     fills them, as many nodes are only ever reached, never left;
     ``edges[i]``, the joint edge of ``actions[i]``, is ``None`` until
-    :meth:`TableKernel.joint_edge` builds it.
+    :meth:`TableKernel.joint_edge` builds it or takes a sibling's.
     """
 
-    __slots__ = ("robot", "observables", "done", "actions", "edges")
+    __slots__ = ("robot", "observables", "ids", "done", "menu", "actions", "edges")
 
-    def __init__(self, robot: RobotState, observables: tuple[Observation, ...]) -> None:
+    def __init__(self, robot: RobotState, observables: tuple[Observation, ...], ids: tuple) -> None:
         self.robot = robot
         self.observables = observables
+        self.ids = ids
         self.done = all(o.hand_raise == 0 for o in observables)
+        self.menu: tuple | None = None
         self.actions: tuple[Action, ...] | None = None
         self.edges: list | None = None
 
@@ -269,47 +277,55 @@ def dense_support(satisfaction: tuple):
 
 
 class TableKernel:
-    """Table edges and joint nodes of one config, each computed on first use."""
+    """Table edges, menus and joint nodes of one config, each computed on first use.
 
-    __slots__ = ("cfg", "edges", "nodes")
+    ``items`` lists every observation, event and robot cell seen (one object
+    per cell, which the moves share) and ``ids`` maps each to its index there.
+    """
+
+    __slots__ = ("cfg", "ids", "items", "edges", "menus", "nodes")
 
     def __init__(self, cfg: RestaurantConfig) -> None:
         self.cfg = cfg
-        self.edges: dict[tuple[Observation, tuple], TableEdge] = {}
+        self.ids: dict = {}
+        self.items: list = []
+        self.edges: dict[tuple[int, int], TableEdge] = {}
+        self.menus: dict[tuple, tuple] = {}
         self.nodes: dict[tuple[RobotState, tuple[Observation, ...]], JointNode] = {}
 
+    def _id(self, item) -> int:
+        i = self.ids.get(item)
+        if i is None:
+            i = self.ids[item] = len(self.items)
+            self.items.append(item)
+        return i
+
+    def _event(self, action: Action, duration: int, robot: RobotState, index: int) -> int:
+        if action.table == index and action.kind is ActionKind.SERVE:
+            return self._id(("s", duration))
+        if action.table == index and action.kind is ActionKind.GO_TO:
+            distance = manhattan(robot.pos(), self.cfg.table_positions[index])
+            return self._id(("g", duration, distance))
+        return self._id(("t", duration))
+
     def edge(
-        self,
-        obs: Observation,
-        action: Action,
-        duration: int,
-        robot: RobotState,
-        index: int,
+        self, obs: Observation, action: Action, duration: int, robot: RobotState, index: int
     ) -> TableEdge:
         """The edge of table ``index`` in state ``obs`` under ``action``.
 
         ``robot`` is the robot before the action and ``duration`` the
         action's duration, as for :func:`.rewards.table_transition_outcomes`.
         """
-        if action.table == index and action.kind is ActionKind.SERVE:
-            event: tuple = ("s", duration)
-        elif action.table == index and action.kind is ActionKind.GO_TO:
-            distance = manhattan(robot.pos(), self.cfg.table_positions[index])
-            event = ("g", duration, distance)
-        else:
-            event = ("t", duration)
-        key = (obs, event)
-        edge = self.edges.get(key)
-        if edge is None:
-            edge = self._fill(obs, event, action, duration, robot, index)
-            self.edges[key] = edge
-        return edge
+        key = (self._id(obs), self._event(action, duration, robot, index))
+        return self.edges.get(key) or self._fill(key, action, duration, robot, index)
 
-    def _fill(self, obs, event, action, duration, robot, index) -> TableEdge:
+    def _fill(self, key, action, duration, robot, index) -> TableEdge:
+        """Fills and stores the edge of ``key``, ``(observation id, event id)``."""
         # rewards.expected_reward reads this cache, so rewards is imported
         # on first fill rather than at module level.
         from .rewards import table_transition_outcomes
 
+        obs, event = self.items[key[0]], self.items[key[1]]
         next_obs: Observation | None = None
         rows = []
         for sat in range(self.cfg.sat_max + 1):
@@ -331,45 +347,84 @@ class TableKernel:
                     )
             rows.append(tuple((ns.satisfaction, p, r) for ns, p, r in outcomes))
         expected = tuple(sum(q * r for _, q, r in sat_rows) for sat_rows in rows)
-        return TableEdge(next_obs, obs.hand_raise == 0, tuple(rows), expected)
+        edge = TableEdge(next_obs, self._id(next_obs), obs.hand_raise == 0, tuple(rows), expected)
+        self.edges[key] = edge
+        return edge
 
-    def node(self, robot: RobotState, observables: tuple[Observation, ...]) -> JointNode:
-        """The joint node of ``(robot, observables)``, created on first use."""
+    def node(
+        self, robot: RobotState, observables: tuple[Observation, ...], ids: tuple | None = None
+    ) -> JointNode:
+        """The joint node of ``(robot, observables)``, created on first use.
+
+        ``ids``, the observations' ids, are looked up if not given.
+        """
         key = (robot, observables)
         node = self.nodes.get(key)
         if node is None:
             if len(self.nodes) >= NODE_LIMIT:
                 self.nodes.clear()
-            node = self.nodes[key] = JointNode(robot, observables)
+            ids = tuple(map(self._id, observables)) if ids is None else ids
+            node = self.nodes[key] = JointNode(robot, observables, ids)
         return node
 
     def actions(self, node: JointNode) -> tuple[Action, ...]:
-        """The node's legal actions, filled on first use."""
+        """The node's legal actions, filled on first use from its menu.
+
+        A menu, ``(actions, moves, siblings)``, is keyed by the robot and
+        each table's status: departed (0), serve-blocked (1) or open (2).
+        ``moves[i]`` is ``actions[i]``'s ``(duration, next robot, served
+        table or None, event ids)``; ``siblings[i]`` lists the equal moves.
+        """
         if node.actions is None:
-            # Legality never depends on satisfaction, so the observables suffice.
-            tables = tuple(table_from_observation(o, 0) for o in node.observables)
-            legal = legal_actions(JointState(robot=node.robot, tables=tables, clock=0), self.cfg)
-            node.actions = tuple(sorted(legal, key=action_sort_key))
-            node.edges = [None] * len(node.actions)
+            robot, observables = node.robot, node.observables
+            signature = (robot, tuple(
+                0 if o.hand_raise == 0 else 1 if serve_blocked(o) else 2 for o in observables
+            ))
+            menu = self.menus.get(signature)
+            if menu is None:
+                menu = self.menus[signature] = self._menu(robot, observables)
+            node.menu = menu
+            node.actions = menu[0]
+            node.edges = [None] * len(menu[0])
         return node.actions
+
+    def _menu(self, robot: RobotState, observables: tuple) -> tuple:
+        cfg = self.cfg
+        tables = tuple(table_from_observation(o, 0) for o in observables)
+        legal = legal_actions(JointState(robot=robot, tables=tables, clock=0), cfg)
+        actions = tuple(sorted(legal, key=action_sort_key))
+        moves = []
+        for action in actions:
+            duration = action_duration(robot, action, cfg)
+            moves.append((
+                duration,
+                self.items[self._id(next_robot(robot, action, cfg))],  # one object per cell
+                action.table if action.kind is ActionKind.SERVE else None,
+                tuple(self._event(action, duration, robot, i) for i in range(len(observables))),
+            ))
+        siblings = tuple(tuple(j for j, m in enumerate(moves) if m == move) for move in moves)
+        return actions, tuple(moves), siblings
 
     def joint_edge(self, node: JointNode, idx: int) -> JointEdge:
         """The :class:`JointEdge` of the node's ``idx``-th action, built on first use.
 
-        The node's actions must have been filled.
+        A sibling's edge, if one is built, fills the slot instead. The node's
+        actions must have been filled.
         """
-        action = node.actions[idx]
-        robot = node.robot
-        duration = action_duration(robot, action, self.cfg)
+        edges = node.edges
+        _, moves, siblings = node.menu
+        for j in siblings[idx]:
+            if edges[j] is not None:
+                edge = edges[idx] = edges[j]
+                return edge
+        duration, robot, served, events = moves[idx]
+        action, get = node.actions[idx], self.edges.get
         tables = tuple(
-            self.edge(obs, action, duration, robot, i)
-            for i, obs in enumerate(node.observables)
+            get(key) or self._fill(key, action, duration, node.robot, i)
+            for i, key in enumerate(zip(node.ids, events))
         )
-        nxt = self.node(
-            next_robot(robot, action, self.cfg), tuple(e.next_obs for e in tables)
-        )
-        served = action.table if action.kind is ActionKind.SERVE else None
-        edge = node.edges[idx] = JointEdge(duration, nxt, tables, served)
+        nxt = self.node(robot, tuple(e.next_obs for e in tables), tuple(e.next_id for e in tables))
+        edge = edges[idx] = JointEdge(duration, nxt, tables, served)
         return edge
 
     def follow(self, node: JointNode, action: Action) -> JointEdge:
@@ -408,7 +463,9 @@ def table_kernel(cfg: RestaurantConfig) -> TableKernel:
     kernel = _kernels.get(cfg)
     if kernel is None:
         if len(_kernels) >= KERNEL_LIMIT:
-            del _kernels[next(iter(_kernels))]
+            evicted = _kernels.pop(next(iter(_kernels)))
+            for key in [key for key, hit in _by_id.items() if hit[1] is evicted]:
+                del _by_id[key]
         kernel = _kernels[cfg] = TableKernel(cfg)
     if len(_by_id) >= KERNEL_LIMIT:
         _by_id.clear()

@@ -464,7 +464,8 @@ class _StoreView:
 
     @property
     def joint_edges(self) -> dict:
-        """Built joint edges, keyed by (node key, action)."""
+        """Filled edge slots, keyed by (node key, action): sibling slots that
+        share one :class:`.kernel.JointEdge` count once each."""
         return {
             (key, node.actions[i]): edge
             for key, node in table_kernel(self.cfg).nodes.items()

@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from restaurant_pomdp import rewards
+from restaurant_pomdp import kernel as kernel_module, rewards
 from restaurant_pomdp.checks import reachable_joint_states
 from restaurant_pomdp.config import RewardParams
 from restaurant_pomdp.belief import belief_init, belief_predict
 from restaurant_pomdp.dynamics import action_duration, next_robot
 from restaurant_pomdp.harness import replay_actions, run_episode
 from restaurant_pomdp.joint import step_joint
-from restaurant_pomdp.kernel import JointEdge, table_kernel
+from restaurant_pomdp.kernel import KERNEL_LIMIT, JointEdge, table_kernel
 from restaurant_pomdp.model import (
     NOOP,
     ActionKind,
@@ -96,7 +96,8 @@ def test_edges_match_model_on_small_configs(cfg, seed):
 
 def assert_joint_edges_compose_table_edges(cfg, states) -> int:
     """Each legal action's joint edge: its duration, next robot, serve target,
-    table edges and its outcome at every joint satisfaction code."""
+    table edges and its outcome at every joint satisfaction code. Two slots of
+    one node hold one object exactly when all of those but the codes agree."""
     kernel = table_kernel(cfg)
     k = cfg.sat_max + 1
     checked = 0
@@ -116,6 +117,14 @@ def assert_joint_edges_compose_table_edges(cfg, states) -> int:
             for levels in itertools.product(range(k), repeat=len(observables)):
                 assert_code_outcome(edge, levels, k)
             checked += 1
+        for a, b in itertools.combinations(node.edges, 2):
+            same_move = (
+                a.duration == b.duration
+                and (a.next.robot, a.next.observables) == (b.next.robot, b.next.observables)
+                and all(x is y for x, y in zip(a.tables, b.tables))
+                and a.serve == b.serve
+            )
+            assert (a is b) == same_move
     return checked
 
 
@@ -172,6 +181,42 @@ def test_every_joint_step_rejects_an_illegal_action(two_cfg):
         kernel.follow(kernel.node(b.robot, b.observables), serve(0))
 
 
+def test_a_slot_is_filled_only_when_asked_for(two_cfg):
+    """No-op and the communications share one edge object, but each slot
+    stays empty until it is asked for; a go_to has its own edge."""
+    cfg = dataclasses.replace(two_cfg, horizon=41)  # a config no other test uses
+    kernel = table_kernel(cfg)
+    b = belief_init(cfg)
+    node = kernel.node(b.robot, b.observables)
+    acts = kernel.actions(node)
+    assert node.edges == [None] * len(acts)
+    stays = [i for i, a in enumerate(acts) if a.kind in (ActionKind.NO_OP, ActionKind.COMM_WILL_RETURN)]
+    assert len(stays) == 3
+    first = kernel.follow(node, acts[stays[0]])
+    assert [e is not None for e in node.edges] == [i == stays[0] for i in range(len(acts))]
+    assert all(kernel.follow(node, acts[i]) is first for i in stays)
+    assert kernel.follow(node, go_to(0)) is not first
+    assert sum(e is not None for e in node.edges) == 4
+
+
+def test_an_evicted_store_is_not_served_again(two_cfg, monkeypatch):
+    """Equal configs share one live store even after the id shortcut was
+    emptied and refilled around an eviction."""
+    monkeypatch.setattr(kernel_module, "_kernels", {})
+    monkeypatch.setattr(kernel_module, "_by_id", {})
+    cfgs = [dataclasses.replace(two_cfg, horizon=100 + i) for i in range(KERNEL_LIMIT + 1)]
+    for cfg in cfgs[: KERNEL_LIMIT - 1]:
+        table_kernel(cfg)
+    table_kernel(dataclasses.replace(cfgs[0]))
+    table_kernel(cfgs[KERNEL_LIMIT - 1])  # the id shortcut is full: it is emptied
+    table_kernel(cfgs[0])
+    table_kernel(cfgs[KERNEL_LIMIT])  # evicts config 0's store
+    assert table_kernel(cfgs[0]) is table_kernel(dataclasses.replace(cfgs[0]))
+    assert len(kernel_module._kernels) == KERNEL_LIMIT
+    live = [id(k) for k in kernel_module._kernels.values()]
+    assert all(id(k) in live for _, k in kernel_module._by_id.values())
+
+
 def test_follow_is_step_without_the_lookup(two_cfg):
     """Each edge is built once, even while its code table is empty (and so false)."""
     cfg = dataclasses.replace(two_cfg, horizon=31)  # a config no other test uses
@@ -221,7 +266,7 @@ def test_make_policy_fills_nothing(two_cfg):
     for kind in ("random", "fcfs", "greedy", "mcts", "expectimax"):
         make_policy(PolicySpec(kind), cfg)
     kernel = table_kernel(cfg)
-    assert not kernel.edges and not kernel.nodes
+    assert not kernel.edges and not kernel.nodes and not kernel.menus and not kernel.items
 
 
 def test_fill_rejects_an_observation_that_depends_on_satisfaction(two_cfg, monkeypatch):

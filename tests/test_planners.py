@@ -11,7 +11,7 @@ from restaurant_pomdp import kernel as kernel_module, planners
 from restaurant_pomdp.belief import Belief, belief_init, belief_predict, observe
 from restaurant_pomdp.config import SCENARIOS, ConfigError, RestaurantConfig
 from restaurant_pomdp.harness import run_episode
-from restaurant_pomdp.kernel import JointEdge, mass_support, table_kernel
+from restaurant_pomdp.kernel import JointEdge, JointNode, mass_support, table_kernel
 from restaurant_pomdp.model import (
     Action,
     ActionKind,
@@ -831,6 +831,31 @@ def test_mcts_is_independent_of_the_store(two_cfg, monkeypatch):
     assert kernel.nodes.clears >= 1
     assert cold[0] == warm[0] == limited[0]
     assert cold[1].hex() == warm[1].hex() == limited[1].hex()
+    # What outlives a clear holds no node and no edge.
+    stack = [kernel.menus, kernel.ids, kernel.items]
+    while stack:
+        item = stack.pop()
+        assert not isinstance(item, (JointNode, JointEdge))
+        if isinstance(item, dict):
+            stack += [*item.keys(), *item.values()]
+        elif isinstance(item, (tuple, list)):
+            stack += item
+
+
+def test_mcts_store_shape(two_cfg):
+    """One seeded search fills the nodes, slots and table edges it filled when
+    every slot held its own edge; slots of equal moves share, so 265 slots
+    hold 199 edge objects."""
+    cfg = dataclasses.replace(two_cfg, horizon=43)  # a config no other test uses
+    kernel = table_kernel(cfg)
+    assert not kernel.nodes
+    caches = make_policy(PolicySpec(kind="mcts"), cfg).caches
+    mcts_search(belief_init(cfg), cfg, 300, np.random.default_rng(3))
+    slots = caches.joint_edges.values()
+    shape = (len(kernel.nodes), len(slots), len({id(e) for e in slots}), len(kernel.edges))
+    assert shape == (145, 265, 199, 85)
+    assert len(caches.table_edges) == len(kernel.edges)
+    assert len(kernel.menus) == 7
 
 
 def test_mcts_root_draw_at_the_float_sum_takes_the_last_level_with_mass(two_cfg, monkeypatch):
