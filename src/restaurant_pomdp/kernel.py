@@ -27,7 +27,10 @@ departed or serve-blocked, so nodes with those alike share one menu: the
 sorted legal actions and each action's move (duration, next robot, served
 table, per-table event ids). Actions of one node with equal moves, such as
 no-op and every communication, share one edge object; a slot is filled when
-asked for, from a sibling's edge if one is built. The edge's methods are the
+asked for, from a sibling's edge if one is built, and the menu lists the
+first action of each move for the scans of greedy and expectimax. Equal
+outcomes over satisfaction codes are one object per store, as few values
+recur across edges. The edge's methods are the
 expected reward, the filter's propagation and the simulator; called one
 step at a time (``rewards.expected_reward``, ``belief.belief_predict``,
 ``joint.step_joint``), they follow one node lookup with
@@ -131,18 +134,24 @@ class JointEdge(dict):
     with one, the sampling rows ``(cum, next_code, reward)``, the other
     tables' rows folded around the served table's, whose probabilities become
     cumulative thresholds, the last forced to infinity so a uniform draw
-    always selects a row. An edge with no code filled yet is false, so a
-    node's edge slot is tested with ``is None``.
+    always selects a row. A filled outcome is the store's one object equal to
+    it, from ``interned``, emptied with the store's nodes. Every sum starts at
+    ``+0.0``, so no outcome holds ``-0.0`` and equal outcomes are the same
+    bits. An edge with no code filled yet is false, so a node's edge slot is
+    tested with ``is None``.
     """
 
-    __slots__ = ("duration", "next", "tables", "serve")
+    __slots__ = ("duration", "next", "tables", "serve", "interned")
 
-    def __init__(self, duration: int, nxt: JointNode, tables: tuple, serve: int | None) -> None:
+    def __init__(
+        self, duration: int, nxt: JointNode, tables: tuple, serve: int | None, interned: dict
+    ) -> None:
         super().__init__()
         self.duration = duration
         self.next = nxt
         self.tables = tables
         self.serve = serve
+        self.interned = interned
 
     def __missing__(self, code: int):
         k = len(self.tables[0].rows)
@@ -160,15 +169,16 @@ class JointEdge(dict):
                 reward += r
             mult *= k
         if self.serve is None:
-            out = self[code] = (next_code, reward)
-            return out
-        rows = []
-        acc = 0.0
-        for s_next, p, r in j_rows:
-            acc += p
-            rows.append((acc, next_code + s_next * j_mult, reward + r))
-        rows[-1] = (math.inf, *rows[-1][1:])
-        out = self[code] = tuple(rows)
+            out = (next_code, reward)
+        else:
+            rows = []
+            acc = 0.0
+            for s_next, p, r in j_rows:
+                acc += p
+                rows.append((acc, next_code + s_next * j_mult, reward + r))
+            rows[-1] = (math.inf, *rows[-1][1:])
+            out = tuple(rows)
+        out = self[code] = self.interned.setdefault(out, out)
         return out
 
     def expected_reward(self, support) -> float:
@@ -281,9 +291,10 @@ class TableKernel:
 
     ``items`` lists every observation, event and robot cell seen (one object
     per cell, which the moves share) and ``ids`` maps each to its index there.
+    ``interned`` maps each joint edge outcome to its one stored object.
     """
 
-    __slots__ = ("cfg", "ids", "items", "edges", "menus", "nodes")
+    __slots__ = ("cfg", "ids", "items", "edges", "menus", "nodes", "interned")
 
     def __init__(self, cfg: RestaurantConfig) -> None:
         self.cfg = cfg
@@ -292,6 +303,7 @@ class TableKernel:
         self.edges: dict[tuple[int, int], TableEdge] = {}
         self.menus: dict[tuple, tuple] = {}
         self.nodes: dict[tuple[RobotState, tuple[Observation, ...]], JointNode] = {}
+        self.interned: dict[tuple, tuple] = {}
 
     def _id(self, item) -> int:
         i = self.ids.get(item)
@@ -363,6 +375,7 @@ class TableKernel:
         if node is None:
             if len(self.nodes) >= NODE_LIMIT:
                 self.nodes.clear()
+                self.interned.clear()  # in place: the edges still alive hold it
             ids = tuple(map(self._id, observables)) if ids is None else ids
             node = self.nodes[key] = JointNode(robot, observables, ids)
         return node
@@ -370,10 +383,11 @@ class TableKernel:
     def actions(self, node: JointNode) -> tuple[Action, ...]:
         """The node's legal actions, filled on first use from its menu.
 
-        A menu, ``(actions, moves, siblings)``, is keyed by the robot and
-        each table's status: departed (0), serve-blocked (1) or open (2).
+        A menu, ``(actions, moves, siblings, firsts)``, is keyed by the robot
+        and each table's status: departed (0), serve-blocked (1) or open (2).
         ``moves[i]`` is ``actions[i]``'s ``(duration, next robot, served
-        table or None, event ids)``; ``siblings[i]`` lists the equal moves.
+        table or None, event ids)``; ``siblings[i]`` lists the equal moves
+        and ``firsts`` the first index of each distinct move.
         """
         if node.actions is None:
             robot, observables = node.robot, node.observables
@@ -403,7 +417,8 @@ class TableKernel:
                 tuple(self._event(action, duration, robot, i) for i in range(len(observables))),
             ))
         siblings = tuple(tuple(j for j, m in enumerate(moves) if m == move) for move in moves)
-        return actions, tuple(moves), siblings
+        firsts = tuple(j for j, same in enumerate(siblings) if same[0] == j)
+        return actions, tuple(moves), siblings, firsts
 
     def joint_edge(self, node: JointNode, idx: int) -> JointEdge:
         """The :class:`JointEdge` of the node's ``idx``-th action, built on first use.
@@ -412,7 +427,7 @@ class TableKernel:
         actions must have been filled.
         """
         edges = node.edges
-        _, moves, siblings = node.menu
+        _, moves, siblings, _ = node.menu
         for j in siblings[idx]:
             if edges[j] is not None:
                 edge = edges[idx] = edges[j]
@@ -424,7 +439,7 @@ class TableKernel:
             for i, key in enumerate(zip(node.ids, events))
         )
         nxt = self.node(robot, tuple(e.next_obs for e in tables), tuple(e.next_id for e in tables))
-        edge = edges[idx] = JointEdge(duration, nxt, tables, served)
+        edge = edges[idx] = JointEdge(duration, nxt, tables, served, self.interned)
         return edge
 
     def follow(self, node: JointNode, action: Action) -> JointEdge:

@@ -30,6 +30,10 @@ POLICY_KINDS = ("random", "fcfs", "greedy", "mcts", "expectimax")
 
 DEFAULT_EXPLORATION = 20.0
 
+# Expectimax recurses once per ply, so its depth must stay well inside
+# Python's default recursion limit of 1000 frames, callers' frames included.
+MAX_EXPECTIMAX_DEPTH = 500
+
 
 @dataclass(frozen=True)
 class PolicySpec:
@@ -50,6 +54,8 @@ class PolicySpec:
             raise ConfigError("budget must be >= 1")
         if _require_int("max_depth", self.max_depth) < 1 or _require_int("depth", self.depth) < 1:
             raise ConfigError("search depth must be >= 1")
+        if self.depth > MAX_EXPECTIMAX_DEPTH:
+            raise ConfigError(f"depth must be <= {MAX_EXPECTIMAX_DEPTH}")
         if _require_number("exploration", self.exploration) < 0:
             raise ConfigError("exploration constant must be >= 0")
 
@@ -128,19 +134,22 @@ def act_greedy(b: Belief, cfg: RestaurantConfig) -> Action:
 def _greedy_scan(kernel: TableKernel, node: JointNode, support: list) -> tuple[Action, float]:
     """First strict argmax of the joint edges' expected reward, and its value.
 
-    Scans the node's joint edges in the fixed action order, scoring each with
-    :meth:`.kernel.JointEdge.expected_reward` on the node's
-    :func:`.kernel.mass_support`.
+    Scans the node's distinct moves in the fixed action order, scoring each
+    edge with :meth:`.kernel.JointEdge.expected_reward` on the node's
+    :func:`.kernel.mass_support`. Actions with equal moves share one edge
+    and so one value, and a later one never wins a strict ``>``: the scan
+    visits only the first of each, and returns what a scan of every action
+    would, bit for bit.
     """
     acts = node.actions or kernel.actions(node)
     edges = node.edges
     best_action = acts[0]
     best_value = -math.inf
-    for idx, a in enumerate(acts):
+    for idx in node.menu[3]:
         edge = kernel.joint_edge(node, idx) if edges[idx] is None else edges[idx]
         value = edge.expected_reward(support)
         if value > best_value:
-            best_action, best_value = a, value
+            best_action, best_value = acts[idx], value
     return best_action, best_value
 
 
@@ -161,8 +170,9 @@ def value_expectimax(
     :meth:`~.kernel.JointEdge.expected_reward`, the sum greedy maximizes, and
     the next vectors are its :meth:`~.kernel.JointEdge.predict`, the
     propagation of :func:`.belief.belief_predict`, both on the node's
-    :func:`.kernel.mass_support`, built once per search node; actions whose
-    edges share a table's edge share its propagated vector. With one ply
+    :func:`.kernel.mass_support`, built once per search node; only the first
+    of each set of actions with equal moves is searched, as in greedy's scan,
+    and edges that share a table's edge share its propagated vector. With one ply
     left the next value is zero, so the last ply is greedy's scan: it
     propagates no belief, and depth-1 expectimax returns greedy's action and
     its expected reward bit for bit. Returns the optimal root action
@@ -190,13 +200,13 @@ def value_expectimax(
         shared: dict = {}
         best_action: Action | None = None
         best_value = -math.inf
-        for idx, a in enumerate(acts):
+        for idx in node.menu[3]:
             edge = joint_edge(node, idx) if edges[idx] is None else edges[idx]
             er = edge.expected_reward(support)
             next_sat = edge.predict(sat, support, shared)
             value = er + gamma**edge.duration * rec(edge.next, next_sat, remaining - 1)[1]
             if value > best_value:
-                best_action, best_value = a, value
+                best_action, best_value = acts[idx], value
         memo[key] = (best_action, best_value)
         return (best_action, best_value)
 

@@ -122,15 +122,21 @@ def test_evaluate_unknown_policy_exits_two(tmp_path, capsys):
     assert "clairvoyant" in capsys.readouterr().err
 
 
-def test_run_non_integer_policy_parameter_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "policy, name",
+    [("mcts:budget=1.5", "budget"),
+     # Refused before the episode, not a RecursionError in its middle.
+     ("expectimax:depth=1200", "depth")],
+)
+def test_run_bad_policy_parameter_exits_two(policy, name, tmp_path, capsys):
     code = main([
-        "run", "--scenario", "small-1table", "--policy", "mcts:budget=1.5",
+        "run", "--scenario", "small-1table", "--policy", policy,
         "--out", str(tmp_path / "t.jsonl"),
     ])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error")
-    assert "budget" in err
+    assert name in err
 
 
 def test_evaluate_bad_override_exits_two(tmp_path, capsys):

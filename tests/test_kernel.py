@@ -38,7 +38,7 @@ from restaurant_pomdp.model import (
     serve,
     table_from_observation,
 )
-from restaurant_pomdp.planners import PolicySpec, make_policy
+from restaurant_pomdp.planners import PolicySpec, make_policy, mcts_search
 from restaurant_pomdp.rewards import expected_reward, table_transition_outcomes
 
 from .strategies import random_walk_states, small_configs
@@ -150,6 +150,49 @@ def assert_code_outcome(edge, levels, k) -> None:
         acc += p
         assert cum == acc
     assert outcome[-1][0] == math.inf
+
+
+def compose_outcome(edge, code, k):
+    """``edge[code]`` rebuilt from the tables' rows: the other tables' single
+    rows summed in table order, then the served table's rows around them."""
+    levels = [code // k**i % k for i in range(len(edge.tables))]
+    next_code, reward = 0, 0.0
+    for i, (table, s) in enumerate(zip(edge.tables, levels)):
+        if i != edge.serve:
+            ((s_next, _, r),) = table.rows[s]
+            next_code += s_next * k**i
+            reward += r
+    if edge.serve is None:
+        return next_code, reward
+    j = edge.serve
+    rows, acc = [], 0.0
+    for s_next, p, r in edge.tables[j].rows[levels[j]]:
+        acc += p
+        rows.append((acc, next_code + s_next * k**j, reward + r))
+    return (*rows[:-1], (math.inf, *rows[-1][1:]))
+
+
+@pytest.mark.parametrize("scenario", ["two-tables", "paper-3tables"])
+def test_every_filled_outcome_is_its_composition_to_the_bit(scenario, request):
+    """After a search, each filled code of each joint edge holds the outcome
+    composed from its table rows, equal by ``repr`` and so in every bit and
+    the sign of every zero. No outcome holds ``-0.0``, as every sum starts at
+    ``+0.0``: outcomes equal as tuples are the same bits, so the store may
+    keep one object for them."""
+    cfg = request.getfixturevalue({"two-tables": "two_cfg", "paper-3tables": "paper_cfg"}[scenario])
+    cfg = dataclasses.replace(cfg, horizon=47)  # a config no other test uses
+    kernel = table_kernel(cfg)
+    mcts_search(belief_init(cfg), cfg, 300, np.random.default_rng(5))
+    k = cfg.sat_max + 1
+    edges = {id(e): e for n in kernel.nodes.values() for e in n.edges or () if e is not None}
+    filled = set()
+    for edge in edges.values():
+        for code, outcome in edge.items():
+            assert repr(outcome) == repr(compose_outcome(edge, code, k))
+            rows = (outcome,) if edge.serve is None else outcome
+            assert not any(x == 0 and math.copysign(1.0, x) < 0 for row in rows for x in row)
+            filled.add((edge.serve is None, len(rows)))
+    assert {(True, 1), (False, 2)} <= filled  # plain and serve edges, and a serve that draws
 
 
 @settings(max_examples=25, deadline=None)

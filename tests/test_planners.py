@@ -27,6 +27,7 @@ from restaurant_pomdp.model import (
 )
 from restaurant_pomdp.planners import (
     DEFAULT_EXPLORATION,
+    MAX_EXPECTIMAX_DEPTH,
     PolicySpec,
     act_fcfs,
     act_greedy,
@@ -154,7 +155,8 @@ def test_parse_policy_spec_round_trip():
     "bad",
     ["nosuch", "mcts:budget=0", "mcts:depth=0", "mcts:exploration=-1",
      "mcts:rollout=fancy", "mcts:oops=1", "mcts:budget=1.5", "expectimax:depth=x",
-     "mcts:exploration=nan", "mcts:exploration=inf", "mcts:budget=5,budget=10"]
+     "mcts:exploration=nan", "mcts:exploration=inf", "mcts:budget=5,budget=10",
+     "expectimax:depth=1200", f"expectimax:depth={MAX_EXPECTIMAX_DEPTH + 1}"]
     # Only ints (bools excluded) as budget and depths, only numbers as exploration.
     + [pytest.param({key: value}, id=f"spec-{key}={value!r}")
        for key, values in [("budget", [1.5, True, "3", None]),
@@ -175,6 +177,7 @@ def test_bad_policy_specs_rejected(bad):
 def test_policy_spec_bounds():
     with pytest.raises(ConfigError):
         PolicySpec(kind="expectimax", depth=0)
+    assert PolicySpec(kind="expectimax", depth=MAX_EXPECTIMAX_DEPTH).depth == MAX_EXPECTIMAX_DEPTH
     assert PolicySpec(kind="mcts", exploration=5).exploration == 5
 
 
@@ -327,7 +330,7 @@ def test_expectimax_depth_one_equals_greedy(small_cfg):
 
 def test_expectimax_last_ply_propagates_no_belief(two_cfg, monkeypatch):
     """Only plies with a next value propagate beliefs: none at depth 1, one
-    per root action at depth 2."""
+    per distinct root move at depth 2, which is fewer than one per action."""
     calls = []
     predict = JointEdge.predict
 
@@ -340,7 +343,11 @@ def test_expectimax_last_ply_propagates_no_belief(two_cfg, monkeypatch):
     value_expectimax(b, 1, two_cfg)
     assert calls == []
     value_expectimax(b, 2, two_cfg)
-    assert len(calls) == len(sorted_legal_actions(b, two_cfg))
+    kernel = table_kernel(two_cfg)
+    node = kernel.node(b.robot, b.observables)
+    moves = {id(kernel.follow(node, a)) for a in sorted_legal_actions(b, two_cfg)}
+    assert {id(edge) for edge, *_ in calls} == moves
+    assert len(calls) == len(moves) < len(node.actions)
 
 
 def test_expectimax_support_cap(small_cfg):
@@ -441,9 +448,9 @@ def test_expectimax_rejects_a_massless_vector_at_every_depth(scenario, depth):
 
 
 def test_expectimax_propagates_each_table_edge_once_per_node(two_cfg, monkeypatch):
-    """At depth 2 only the root propagates: once per distinct (table, table
-    edge) over its edges' active tables, and the edges that share a table's
-    edge share that table's vector."""
+    """At depth 2 only the root propagates: once per distinct move, in action
+    order, and once per distinct (table, table edge) over those moves' active
+    tables, as the edges that share a table's edge share that table's vector."""
     outputs = []
     predict = JointEdge.predict
 
@@ -457,16 +464,18 @@ def test_expectimax_propagates_each_table_edge_once_per_node(two_cfg, monkeypatc
     value_expectimax(b, 2, two_cfg)
     kernel = table_kernel(two_cfg)
     node = kernel.node(b.robot, b.observables)
-    assert len(outputs) == len(node.edges)
-    assert all(edge is root_edge for (edge, _), root_edge in zip(outputs, node.edges))
+    edges = [kernel.follow(node, a) for a in node.actions]
+    firsts = [i for i, e in enumerate(edges) if all(e is not f for f in edges[:i])]
+    assert len(outputs) == len(firsts) < len(edges)
+    assert all(edge is edges[i] for (edge, _), i in zip(outputs, firsts))
     active = [i for i, o in enumerate(b.observables) if o.hand_raise != 0]
     assert active
-    distinct_edges = {(i, id(edge.tables[i])) for edge in node.edges for i in active}
+    distinct_edges = {(i, id(edge.tables[i])) for edge in edges for i in active}
     propagated = {id(out[i]) for _, out in outputs for i in active}
-    assert len(propagated) == len(distinct_edges) < len(node.edges) * len(active)
+    assert len(propagated) == len(distinct_edges) < len(edges) * len(active)
     # Over a copy: belief_predict calls the recording predict, which appends.
-    for a, (_, out) in zip(node.actions, list(outputs)):
-        assert out == belief_predict(b, a, two_cfg)[0].satisfaction
+    for i, (_, out) in zip(firsts, list(outputs)):
+        assert out == belief_predict(b, node.actions[i], two_cfg)[0].satisfaction
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -826,13 +835,21 @@ def test_mcts_is_independent_of_the_store(two_cfg, monkeypatch):
     warm = mcts_search(b, cfg, 300, np.random.default_rng(3))
     assert len(kernel.nodes) == grown
     kernel.nodes = CountingDict()
+    kernel.interned = CountingDict()
     monkeypatch.setattr(kernel_module, "NODE_LIMIT", grown // 4)
     limited = mcts_search(b, cfg, 300, np.random.default_rng(3))
     assert kernel.nodes.clears >= 1
+    # The interned outcomes are emptied with the nodes, in place: every edge
+    # built since holds the kernel's one dict.
+    assert kernel.interned.clears == kernel.nodes.clears
+    assert all(
+        edge.interned is kernel.interned
+        for node in kernel.nodes.values() for edge in node.edges or () if edge is not None
+    )
     assert cold[0] == warm[0] == limited[0]
     assert cold[1].hex() == warm[1].hex() == limited[1].hex()
     # What outlives a clear holds no node and no edge.
-    stack = [kernel.menus, kernel.ids, kernel.items]
+    stack = [kernel.menus, kernel.ids, kernel.items, kernel.interned]
     while stack:
         item = stack.pop()
         assert not isinstance(item, (JointNode, JointEdge))
@@ -845,7 +862,8 @@ def test_mcts_is_independent_of_the_store(two_cfg, monkeypatch):
 def test_mcts_store_shape(two_cfg):
     """One seeded search fills the nodes, slots and table edges it filled when
     every slot held its own edge; slots of equal moves share, so 265 slots
-    hold 199 edge objects."""
+    hold 199 edge objects, and equal outcomes share, so their 228 filled codes
+    hold 155 outcome objects, those of the intern dict."""
     cfg = dataclasses.replace(two_cfg, horizon=43)  # a config no other test uses
     kernel = table_kernel(cfg)
     assert not kernel.nodes
@@ -856,6 +874,10 @@ def test_mcts_store_shape(two_cfg):
     assert shape == (145, 265, 199, 85)
     assert len(caches.table_edges) == len(kernel.edges)
     assert len(kernel.menus) == 7
+    edges = {id(e): e for e in slots}.values()
+    outcomes = {id(o): o for edge in edges for o in edge.values()}
+    assert (sum(map(len, edges)), len(outcomes), len(kernel.interned)) == (228, 155, 155)
+    assert all(kernel.interned[o] is o for o in outcomes.values())
 
 
 def test_mcts_root_draw_at_the_float_sum_takes_the_last_level_with_mass(two_cfg, monkeypatch):
